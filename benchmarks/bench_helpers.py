@@ -2,7 +2,7 @@
 
 Every bench prints its reproduction table to stdout (run pytest with
 ``-s`` to see it live) and writes a copy under ``benchmarks/results/``
-so EXPERIMENTS.md can reference stable artifacts.
+(see the README's "Reproducing the benchmark tables").
 
 Smoke mode
 ----------

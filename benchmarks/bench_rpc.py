@@ -7,15 +7,15 @@ the ``bench_session_engine`` workload) runs three ways:
   pre-RPC deployment story, the floor);
 * **loopback RPC** — full JSON + canonical-codec wire encoding, no
   socket (what the encoding itself costs);
-* **HTTP RPC** — a real localhost socket through the stdlib server
-  (what one-step-from-deployment costs).
+* **HTTP RPC** — a real localhost socket through the node's asyncio
+  server (what one-step-from-deployment costs).
 
 The equivalence contract rides along: all three paths must settle the
 same tasks with identical payments.  A ``chain_head`` micro-benchmark
 prices a single round trip on each transport, then again under
-concurrency and batching against both socket front-ends (threaded vs
-asyncio), and a fan-out benchmark prices server-push delivery to a
-hundred-plus subscribed clients — zero ``chain_events`` polls anywhere.
+concurrency and batching, and a fan-out benchmark prices server-push
+delivery to a hundred-plus subscribed clients — zero ``chain_events``
+polls anywhere.
 
 Reproduce the table with::
 
@@ -41,7 +41,6 @@ from repro.rpc import (
     HttpTransport,
     LoopbackTransport,
     RpcChain,
-    RpcHttpServer,
     RpcNode,
     RpcRequesterClient,
     RpcSession,
@@ -129,7 +128,7 @@ def test_rpc_boundary_cost():
     ])
 
     node = RpcNode()
-    with RpcHttpServer(node) as server:
+    with AsyncRpcServer(node) as server:
         transport = HttpTransport(server.url)
         start = span_clock()
         payments, http_height, requests = _run_over(transport)
@@ -180,7 +179,7 @@ def test_head_request_throughput():
                  "%.3fms" % (1e3 * elapsed / HEAD_CALLS)])
 
     node = RpcNode()
-    with RpcHttpServer(node) as server:
+    with AsyncRpcServer(node) as server:
         transport = HttpTransport(server.url)
         chain = RpcChain(transport)
         chain.rpc.call("chain_head")  # warm the keep-alive connection
@@ -250,43 +249,34 @@ def _batched_heads(url: str) -> float:
 
 
 def test_concurrent_and_batched_head_throughput():
-    """The async front-end's scaling story against the threaded one.
+    """The front-end's scaling story: one client, many, and batches.
 
-    The serial threaded row is the PR-5 deployment shape (one client,
-    one request per round trip); the concurrent rows exploit the node's
+    The serial row is the baseline deployment shape (one client, one
+    request per round trip); the concurrent row exploits the node's
     reader-writer lock, and the batch row amortizes round trips.  The
-    bar: batched requests through the asyncio front-end must beat the
-    serial threaded baseline by at least 2x.
+    bar: batched requests must beat the serial baseline by at least 2x.
     """
     rows = []
     rates = {}
-    for label, server_cls in [
-        ("threaded", RpcHttpServer),
-        ("async", AsyncRpcServer),
-    ]:
-        node = RpcNode()
-        with server_cls(node) as server:
-            _hammer_heads(server.url, 5)  # warm up
-            elapsed = _serial_heads(server.url)
-            rates["%s serial" % label] = HEAD_CALLS / elapsed
-            rows.append(["%s, 1 client" % label, HEAD_CALLS,
-                         "%.0f" % (HEAD_CALLS / elapsed),
-                         "%.3fms" % (1e3 * elapsed / HEAD_CALLS)])
-            elapsed, calls = _concurrent_heads(server.url)
-            rates["%s concurrent" % label] = calls / elapsed
-            rows.append(["%s, %d clients" % (label, CONCURRENT_CLIENTS),
-                         calls, "%.0f" % (calls / elapsed),
-                         "%.3fms" % (1e3 * elapsed / calls)])
-            elapsed, calls = _batched_heads(server.url)
-            rates["%s batched" % label] = calls / elapsed
-            rows.append(["%s, batches of %d" % (label, BATCH_SIZE),
-                         calls, "%.0f" % (calls / elapsed),
-                         "%.3fms" % (1e3 * elapsed / calls)])
+
+    def row(label, calls, elapsed):
+        rates[label] = calls / elapsed
+        rows.append([label, calls, "%.0f" % (calls / elapsed),
+                     "%.3fms" % (1e3 * elapsed / calls)])
+
+    node = RpcNode()
+    with AsyncRpcServer(node) as server:
+        _hammer_heads(server.url, 5)  # warm up
+        row("1 client", HEAD_CALLS, _serial_heads(server.url))
+        elapsed, calls = _concurrent_heads(server.url)
+        row("%d clients" % CONCURRENT_CLIENTS, calls, elapsed)
+        elapsed, calls = _batched_heads(server.url)
+        row("batches of %d" % BATCH_SIZE, calls, elapsed)
 
     emit(
         "rpc_head_scaling",
         render_table(
-            ["front-end", "requests", "req/s", "latency"],
+            ["clients", "requests", "req/s", "latency"],
             rows,
             title="chain_head under concurrency and batching",
         ),
@@ -297,13 +287,14 @@ def test_concurrent_and_batched_head_throughput():
          "batch_size": BATCH_SIZE},
         {},
         values={
-            label.replace(" ", "_").replace(",", "") + "_rps": rate
+            label.replace(" ", "_") + "_rps": rate
             for label, rate in rates.items()
         },
     )
-    assert rates["async batched"] >= 2 * rates["threaded serial"], (
-        "batched async %.0f req/s did not reach 2x the serial threaded "
-        "%.0f req/s" % (rates["async batched"], rates["threaded serial"])
+    serial, batched = rates["1 client"], rates["batches of %d" % BATCH_SIZE]
+    assert batched >= 2 * serial, (
+        "batched %.0f req/s did not reach 2x the serial %.0f req/s"
+        % (batched, serial)
     )
 
 

@@ -12,7 +12,7 @@ We measure our concrete constructions directly on the same statement
 3 mismatches).  The generic rows are reproduced two ways: measured at
 reduced scale with our real Groth16 and extrapolated to the full-scale
 statement via the fitted per-constraint cost model, and cross-checked
-against the paper-calibrated model.  See DESIGN.md §2.
+against the paper-calibrated model.
 """
 
 from __future__ import annotations

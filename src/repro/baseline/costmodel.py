@@ -1,7 +1,8 @@
 """Cost model for the generic-ZKP baseline at full statement scale.
 
 The reproduction strategy for the "Generic ZKP" rows of Tables I and II
-(see DESIGN.md §2, substitutions):
+(full-scale Groth16 proving is out of reach for pure Python, so
+reduced-scale measurement plus extrapolation stands in for it):
 
 1. **Measure** our real Groth16 prover on reduced-scale circuits of
    increasing constraint count (:func:`measure_local_model`) and fit

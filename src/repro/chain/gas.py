@@ -55,7 +55,7 @@ CODE_DEPOSIT_BYTE = 200
 #: publish transaction costs ~1293k gas, which is dominated by deploying
 #: the task contract; a ~5.3 kB Solidity contract plus the publish-time
 #: storage writes lands in that range.  This is the single tuned constant
-#: in the gas model (documented in DESIGN.md / EXPERIMENTS.md).
+#: in the gas model.
 HIT_CONTRACT_CODE_BYTES = 5_300
 
 # -- misc --------------------------------------------------------------------------

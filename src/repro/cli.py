@@ -636,12 +636,15 @@ def _cmd_node_rpc_serve(args: argparse.Namespace) -> int:
     snapshotted on shutdown, so the served marketplace lives across
     invocations exactly like ``serve --state-dir``.
 
-    ``--async`` swaps the thread-per-connection front-end for the
-    asyncio one (persistent connections and ``chain_subscribe``
-    server-push streams); ``--admin-token``/``--submit-token`` lock the
-    mutating method families behind envelope auth tokens.
+    The front-end is :class:`~repro.rpc.aserver.AsyncRpcServer`
+    (persistent connections, batches, ``chain_subscribe`` server-push
+    streams); ``--admin-token``/``--submit-token`` lock the mutating
+    method families behind envelope auth tokens.  SIGINT and SIGTERM
+    both stop it cleanly: the server's loop handles both signals while
+    it runs.
     """
-    from repro.rpc.server import RpcAuth, RpcHttpServer, RpcNode
+    from repro.rpc.aserver import AsyncRpcServer
+    from repro.rpc.server import RpcAuth, RpcNode
     from repro.rpc.wire import PROTOCOL_VERSION
     from repro.store import NodeStore
 
@@ -678,43 +681,23 @@ def _cmd_node_rpc_serve(args: argparse.Namespace) -> int:
     def _announce(server) -> None:
         _log.info(
             "rpc node listening on http://%s:%d/rpc (%d methods, "
-            "protocol v%d%s%s) — Ctrl-C to stop"
+            "protocol v%d%s) — Ctrl-C to stop"
             % (server.host, server.port, len(node._methods),
-               PROTOCOL_VERSION,
-               ", async" if args.use_async else "",
-               ", auth" if auth is not None else ""),
+               PROTOCOL_VERSION, ", auth" if auth is not None else ""),
             host=server.host,
             port=server.port,
         )
 
-    if args.use_async:
-        from repro.rpc.aserver import AsyncRpcServer
-
-        server = AsyncRpcServer(
-            node, host=args.host, port=args.port, ready_callback=_announce
-        )
-    else:
-        server = RpcHttpServer(node, host=args.host, port=args.port)
-        _announce(server)
-
-    # SIGTERM shuts down as cleanly as Ctrl-C: a shell-backgrounded
-    # server (CI, process managers) starts with SIGINT ignored, so
-    # graceful stop must not depend on it.  (The async server installs
-    # its own loop-level handlers for both signals while it runs.)
-    import signal
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous_sigterm = signal.signal(signal.SIGTERM, _terminate)
+    server = AsyncRpcServer(
+        node, host=args.host, port=args.port, ready_callback=_announce
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        pass
+        pass  # a signal that landed before the loop took over
     finally:
-        signal.signal(signal.SIGTERM, previous_sigterm)
-        # Both front-ends stop accepting and release the socket here —
-        # the snapshot below must be the last word on this state dir.
+        # The server stops accepting and releases the socket here — the
+        # snapshot below must be the last word on this state dir.
         server.shutdown()
         if verifier_pool is not None:
             verifier_pool.close()
@@ -1223,10 +1206,6 @@ def build_parser() -> argparse.ArgumentParser:
     node_rpc.add_argument("--port", type=int, default=8545,
                           help="TCP port; 0 binds an ephemeral port and "
                           "prints it (default 8545)")
-    node_rpc.add_argument("--async", dest="use_async", action="store_true",
-                          help="serve with the asyncio front-end: "
-                          "persistent connections and chain_subscribe "
-                          "server-push event streams")
     node_rpc.add_argument("--admin-token", action="append", default=[],
                           metavar="TOKEN",
                           help="auth token for admin methods (chain_mine, "
@@ -1263,8 +1242,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     # SIGTERM unwinds like Ctrl-C so the trace_to exit below flushes
     # and closes the span file — a terminated run leaves only complete
-    # lines, never a span torn mid-write.  (rpc-serve installs its own
-    # handler while serving; it restores this one on the way out.)
+    # lines, never a span torn mid-write.  (While rpc-serve's event
+    # loop runs, the loop's own handlers stop the server instead.)
     import signal
 
     def _terminate(signum, frame):

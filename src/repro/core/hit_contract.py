@@ -53,6 +53,29 @@ PHASE_REVEAL = 2
 PHASE_EVALUATE = 3
 PHASE_DONE = 4
 
+
+def effective_phase(
+    finalized: Any, reveal_deadline: Optional[int], period: int
+) -> int:
+    """The live phase of a task from its storage and the clock.
+
+    The one phase rule: the contract derives the phase it enforces from
+    it, and the light client derives the phase it verifies from the
+    same three provable inputs — the ``finalized`` flag, the
+    ``reveal_deadline`` (``None`` until the commit phase fills), and the
+    current clock ``period``.
+    """
+    if finalized:
+        return PHASE_DONE
+    if reveal_deadline is None:
+        return PHASE_COMMIT
+    if period <= reveal_deadline:
+        return PHASE_REVEAL
+    if period <= reveal_deadline + 1:
+        return PHASE_EVALUATE
+    return PHASE_DONE  # only finalize remains
+
+
 CIPHERTEXT_BYTES = 128
 
 #: Gas profile of one on-chain VPKE verification: the two Schnorr-variant
@@ -115,16 +138,11 @@ class HITContract(Contract):
         return TaskParameters.from_json(self._memory_read("params"))
 
     def _effective_phase(self, period: int) -> int:
-        if self._memory_read("finalized"):
-            return PHASE_DONE
-        reveal_deadline = self._memory_read("reveal_deadline")
-        if reveal_deadline is None:
-            return PHASE_COMMIT
-        if period <= reveal_deadline:
-            return PHASE_REVEAL
-        if period <= reveal_deadline + 1:
-            return PHASE_EVALUATE
-        return PHASE_DONE  # only finalize remains
+        return effective_phase(
+            self._memory_read("finalized"),
+            self._memory_read("reveal_deadline"),
+            period,
+        )
 
     def _require_phase(self, ctx: CallContext, phase: int, action: str) -> None:
         ctx.meter.charge_sload(2)  # deadline + finalized flags

@@ -7,8 +7,8 @@ arrivals, stragglers, and dropouts were inexpressible.  This module
 inverts the life cycle:
 
 * :class:`HITSession` is an explicit per-task phase state machine that
-  mirrors the contract's ``_effective_phase``.  It never calls
-  ``mine_block`` and is never handed receipts: it reacts to the events
+  times each client's duties off the contract's deadlines.  It never
+  calls ``mine_block`` and is never handed receipts: it reacts to the events
   the chain's :class:`~repro.chain.eventlog.EventLog` shows it, routed
   through the reactive step methods
   :meth:`~repro.core.worker.WorkerClient.on_event` and
@@ -165,13 +165,14 @@ class DropScheduler(WorkerPolicy):
 class HITSession:
     """The client-side state machine of one published task.
 
-    Mirrors the contract's ``_effective_phase``: the session learns the
-    reveal deadline from the ``all_committed`` event (through the
-    requester's reactive view) and times every subsequent duty off it,
-    exactly as a deployed client would.  All chain interaction goes
-    through the registered clients' existing step methods, so
-    adversarial client subclasses behave identically under the engine
-    and under the old lock-step driver.
+    Keeps its own schedule: the session learns the reveal deadline from
+    the ``all_committed`` event (through the requester's reactive view)
+    and times every subsequent duty off it, exactly as a deployed
+    client would.  It decides when to *send*; which phase the chain is
+    in is :func:`~repro.core.hit_contract.effective_phase`'s call.
+    All chain interaction goes through the registered clients' existing
+    step methods, so adversarial client subclasses behave identically
+    under the engine and under the old lock-step driver.
     """
 
     def __init__(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.hit_contract import effective_phase
 from repro.ledger.accounts import Address
 from repro.store import codec
 from repro.store.trie import (
@@ -186,27 +187,19 @@ class LightClient:
     def task_phase(self, contract_name: str) -> int:
         """The verified *effective* protocol phase of one HIT task.
 
-        Mirrors ``HITContract._effective_phase``: the contract stores
-        the commit-phase marker once and derives the live phase from
-        the ``finalized`` flag, the ``reveal_deadline``, and the clock
-        — all three of which are provable state, so the derivation
-        verifies end to end (1 = commit, 2 = reveal, 3 = evaluate,
-        4 = done).
+        The contract's own rule,
+        :func:`~repro.core.hit_contract.effective_phase`, applied to its
+        three inputs — the ``finalized`` flag, the ``reveal_deadline``,
+        and the clock — all of which are provable state, so the
+        derivation verifies end to end (1 = commit, 2 = reveal,
+        3 = evaluate, 4 = done).
         """
         self._require(contract_key(contract_name), "contract %s" % contract_name)
-        if self.storage(contract_name, "finalized", default=False):
-            return 4
-        reveal_deadline = self.storage(
-            contract_name, "reveal_deadline", default=None
+        return effective_phase(
+            self.storage(contract_name, "finalized", default=False),
+            self.storage(contract_name, "reveal_deadline", default=None),
+            self.period(),
         )
-        if reveal_deadline is None:
-            return self.storage(contract_name, "phase")
-        period = self.period()
-        if period <= reveal_deadline:
-            return 2
-        if period <= reveal_deadline + 1:
-            return 3
-        return 4
 
     def ledger_entry(self, index: int) -> Dict[str, Any]:
         """One verified journal entry (kind/source/destination/amount/memo)."""

@@ -4,14 +4,12 @@ Layers (each importable on its own):
 
 * :mod:`repro.rpc.wire` — envelopes, value packing over the canonical
   codec, and the error taxonomy mapped from :mod:`repro.errors`.
-* :mod:`repro.rpc.server` — :class:`RpcNode` (transport-agnostic method
-  registry around one chain, reader-writer locked, batch-aware, with
-  optional :class:`RpcAuth` token gating) and :class:`RpcHttpServer`
-  (stdlib ``http.server`` skin; the CLI's ``node rpc-serve``).
-* :mod:`repro.rpc.aserver` — :class:`AsyncRpcServer`, the asyncio
-  front-end over the same node: persistent connections and
-  ``chain_subscribe`` server-push event streams
-  (``node rpc-serve --async``).
+* :mod:`repro.rpc.server` — :class:`RpcNode`, the transport-agnostic
+  method registry around one chain (reader-writer locked, batch-aware,
+  with optional :class:`RpcAuth` token gating).
+* :mod:`repro.rpc.aserver` — :class:`AsyncRpcServer`, the node's HTTP
+  front-end (the CLI's ``node rpc-serve``): persistent connections,
+  batches, and ``chain_subscribe`` server-push event streams.
 * :mod:`repro.rpc.client` — :class:`RpcChain`/:class:`RpcSwarm` proxies
   plus :class:`RpcRequesterClient`/:class:`RpcWorkerClient`, the
   in-process client classes re-based onto a transport (sync or async),
@@ -35,7 +33,7 @@ from repro.rpc.client import (
     RpcWorkerClient,
 )
 from repro.rpc.harness import HitSpec, run_hits
-from repro.rpc.server import RpcAuth, RpcHttpServer, RpcNode
+from repro.rpc.server import RpcAuth, RpcNode
 from repro.rpc.wire import PROTOCOL_VERSION
 
 __all__ = [
@@ -50,7 +48,6 @@ __all__ = [
     "PushSubscription",
     "RpcAuth",
     "RpcChain",
-    "RpcHttpServer",
     "RpcNode",
     "RpcRequesterClient",
     "RpcSession",

@@ -1,11 +1,10 @@
 """The asyncio front-end: persistent connections, batches, server push.
 
-:class:`AsyncRpcServer` serves the *same* :class:`~repro.rpc.server.RpcNode`
-the threaded front-end does — same method registry, same validation, same
-locks, same counters — behind an asyncio event loop instead of a
-thread-per-connection ``http.server``.  The contract suite runs the same
-seeded scenario through both and pins byte-identical receipts, gas, and
-``state_root``; what changes is purely how far one node scales:
+:class:`AsyncRpcServer` is the node's one HTTP front-end (``node
+rpc-serve`` in the CLI): it serves an
+:class:`~repro.rpc.server.RpcNode` — method registry, validation,
+locks, counters — behind an asyncio event loop, so the loopback
+transport and a real socket run the same dispatch code:
 
 * **persistent connections** — one task per connection on one loop, so
   hundreds of idle subscribers cost file descriptors, not threads;
@@ -14,8 +13,7 @@ seeded scenario through both and pins byte-identical receipts, gas, and
   lock is reader-writer, concurrent ``chain_head``/balance/event reads
   proceed in parallel instead of serializing behind block production;
 * **batch envelopes** — a JSON array of requests costs one round trip
-  (the node answers arrays natively, so the threaded front-end accepts
-  them too);
+  (the node answers arrays natively, so loopback accepts them too);
 * **server-push subscriptions** — ``chain_subscribe`` turns the
   connection into an ``application/x-ndjson`` stream: the subscribe ack,
   then one :data:`repro.rpc.wire.PUSH_METHOD` notification frame per
@@ -24,17 +22,18 @@ seeded scenario through both and pins byte-identical receipts, gas, and
   prune base gets a loud error frame, exactly like a ``chain_events``
   poll would.
 
-The wire format is HTTP/1.1 on the request side — ``POST /rpc`` and
-``GET /health`` — so the PR-5 :class:`~repro.rpc.client.HttpTransport`,
-curl, and the whole contract suite work against this server unchanged;
-``curl -N`` can even consume a subscription stream.
+The wire format is HTTP/1.1 on the request side — ``POST /rpc``,
+``GET /health`` and ``GET /metrics`` — so the blocking
+:class:`~repro.rpc.client.HttpTransport`, curl, and the whole contract
+suite speak to it; ``curl -N`` can even consume a subscription stream.
 
 Push pump design: every subscription is its own task blocked on an
 :class:`asyncio.Event`; the node's write listener (registered via
-:meth:`RpcNode.add_write_listener`, fired by *any* front-end's mutating
-dispatch) wakes them through ``call_soon_threadsafe``.  Each woken task
-pages ``RpcNode.read_events`` off-loop under the shared read lock and
-writes frames on the loop, so a slow subscriber only ever stalls itself.
+:meth:`RpcNode.add_write_listener`, fired by *any* mutating dispatch,
+loopback included) wakes them through ``call_soon_threadsafe``.  Each
+woken task pages ``RpcNode.read_events`` off-loop under the shared read
+lock and writes frames on the loop, so a slow subscriber only ever
+stalls itself.
 """
 
 from __future__ import annotations
@@ -50,13 +49,7 @@ from repro.errors import ReproError
 from repro.obs import registry as _obs
 from repro.obs.registry import render_prometheus
 from repro.rpc import wire
-from repro.rpc.server import (
-    METRICS_CONTENT_TYPE,
-    READ_METHODS,
-    RpcNode,
-    _BadParams,
-    parse_event_filter,
-)
+from repro.rpc.server import RpcNode, _BadParams, parse_event_filter
 
 _SUBSCRIBERS = _obs.REGISTRY.gauge(
     "rpc_subscribers", "Open push subscriptions on the async front-end"
@@ -71,6 +64,8 @@ SUBSCRIBE_METHOD = "chain_subscribe"
 PUSH_PAGE = 256
 #: Cap on one HTTP header section.
 MAX_HEADER_BYTES = 16 * 1024
+#: Prometheus text exposition content type (format v0.0.4).
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _Subscriber:
@@ -90,12 +85,11 @@ class _Subscriber:
 class AsyncRpcServer:
     """An asyncio JSON-RPC server around one :class:`RpcNode`.
 
-    Lifecycle mirrors :class:`~repro.rpc.server.RpcHttpServer`:
-    ``port=0`` binds an ephemeral port, :meth:`start` serves from a
-    background thread running its own loop (tests, embedding — use as a
-    context manager), :meth:`serve_forever` runs the loop on the calling
-    thread until SIGINT/SIGTERM or :meth:`shutdown` (the CLI's
-    ``node rpc-serve --async``).
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port`),
+    :meth:`start` serves from a background thread running its own loop
+    (tests, embedding — use as a context manager), and
+    :meth:`serve_forever` runs the loop on the calling thread until
+    SIGINT/SIGTERM or :meth:`shutdown` (the CLI's ``node rpc-serve``).
     """
 
     def __init__(
@@ -114,6 +108,10 @@ class AsyncRpcServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._stop: Optional[asyncio.Event] = None
+        # Set by shutdown() from any thread, before or during serving;
+        # the loop honours it once _stop exists, so an early call is
+        # never lost.
+        self._stop_requested = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._bound: Optional[Tuple[str, int]] = None
@@ -161,7 +159,12 @@ class AsyncRpcServer:
             raise self._startup_error
 
     def shutdown(self) -> None:
-        """Stop the loop from any thread; idempotent."""
+        """Stop the loop from any thread; idempotent.
+
+        Safe before serving starts: the request is recorded, and a loop
+        still coming up exits as soon as it is ready.
+        """
+        self._stop_requested.set()
         loop = self._loop
         if loop is not None and not loop.is_closed() and self._stop is not None:
             try:
@@ -189,6 +192,8 @@ class AsyncRpcServer:
     async def _main(self, install_signal_handlers: bool) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
+        if self._stop_requested.is_set():
+            self._stop.set()  # shutdown() ran before _stop existed
         self._pool = ThreadPoolExecutor(
             max_workers=self._dispatch_threads,
             thread_name_prefix="rpc-dispatch",

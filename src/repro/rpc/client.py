@@ -166,7 +166,7 @@ class AsyncHttpTransport:
     Byte-for-byte the same protocol as :class:`HttpTransport` — same
     envelopes, same idempotent-reconnect policy — so async applications
     (and the subscription benchmark's hundred-client fan-out) talk to
-    either front-end without their own HTTP plumbing.
+    the node without their own HTTP plumbing.
     """
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:

@@ -5,7 +5,7 @@ The session engine does not care whether its chain is the in-process
 speaking to a node — both expose the same surface.  :func:`run_hits`
 exploits that: one scenario description, one driver, two (or more)
 transports.  The RPC contract tests run the *same* seeded scenario
-through both front-ends and compare receipts, gas, and ``state_root``
+in process and over RPC and compare receipts, gas, and ``state_root``
 byte for byte; ``benchmarks/bench_rpc.py`` runs it against loopback and
 a localhost socket to price the boundary.
 """

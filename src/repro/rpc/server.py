@@ -6,7 +6,7 @@ its Swarm store and optional :class:`~repro.store.nodestore.NodeStore`).
 Every byte that reaches :meth:`RpcNode.handle` goes through the full
 parse → validate → dispatch pipeline, so the in-memory loopback
 transport used by fast tests exercises exactly the code paths a socket
-does; :class:`RpcHttpServer` adds the stdlib ``http.server`` skin for
+does; :class:`~repro.rpc.aserver.AsyncRpcServer` adds the HTTP skin for
 out-of-process clients (``node rpc-serve`` in the CLI).
 
 The method set (versioned by :data:`repro.rpc.wire.PROTOCOL_VERSION`):
@@ -45,8 +45,7 @@ starve block production.  Request counters are atomics so the hot path
 takes the node lock exactly once.
 
 Batch envelopes (JSON-RPC 2.0 arrays) are handled at this layer, so
-both front-ends — the threaded :class:`RpcHttpServer` here and the
-asyncio :class:`~repro.rpc.aserver.AsyncRpcServer` — accept them.
+loopback and the socket front-end accept them alike.
 Token authorization (:class:`RpcAuth`) guards admin methods
 (``chain_mine``, ``node_checkpoint``, ``node_prune``) and submissions
 (``tx_*``, ``swarm_put``); a node constructed without ``auth`` stays
@@ -58,16 +57,14 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chain.chain import Chain
 from repro.chain.eventlog import EventFilter
-from repro.chain.transactions import Transaction, nonce_position
+from repro.chain.transactions import nonce_position
 from repro.errors import ChainError, InvalidTransaction, ReproError
 from repro.ledger.accounts import Address
 from repro.obs import registry as _obs
-from repro.obs.registry import render_prometheus
 from repro.obs.tracing import span_clock, trace_span
 from repro.obs.logging import get_logger
 from repro.storage.swarm import SwarmStore
@@ -76,9 +73,6 @@ from repro.store import trie as state_trie
 from repro.store.blockstore import StoreError
 from repro.rpc import wire
 from repro.rpc.wire import WireError
-
-#: Prometheus text exposition content type (format v0.0.4).
-METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _RPC_REQUESTS = _obs.REGISTRY.counter(
     "rpc_requests_total",
@@ -436,10 +430,10 @@ class RpcNode:
         """Call ``listener`` after every successful mutating dispatch.
 
         The async front-end hangs its subscription pump here, so pushes
-        are event-driven even when the write arrived through a
-        *different* front-end sharing this node.  Listeners run on the
-        dispatching thread, outside the lock — they must be cheap and
-        thread-safe (the async server's is ``call_soon_threadsafe``).
+        are event-driven even when the write arrived through another
+        transport sharing this node (loopback, say).  Listeners run on
+        the dispatching thread, outside the lock — they must be cheap
+        and thread-safe (the async server's is ``call_soon_threadsafe``).
         """
         self._write_listeners.append(listener)
 
@@ -478,11 +472,11 @@ class RpcNode:
     def respond(self, envelope: Any) -> Any:
         """One parsed envelope — single or batch — to its response value.
 
-        The transport-independent core both front-ends call: the
-        threaded server hands it the parsed body, the asyncio server
-        calls it from an executor thread.  A batch (a JSON array) maps
-        to an array of responses in request order; each member counts
-        toward the served/rejected totals on its own.
+        The transport-independent core: :meth:`handle` hands it the
+        parsed body, the asyncio server calls it from an executor
+        thread.  A batch (a JSON array) maps to an array of responses
+        in request order; each member counts toward the served/rejected
+        totals on its own.
         """
         if isinstance(envelope, list):
             if not envelope:
@@ -948,168 +942,3 @@ class RpcNode:
         digest = _hex_bytes(params, "digest")
         return {"data": self.swarm.get(digest).hex()}
 
-
-# ---------------------------------------------------------------------------
-# The HTTP transport skin
-# ---------------------------------------------------------------------------
-
-
-class _RpcRequestHandler(BaseHTTPRequestHandler):
-    """POST / or /rpc carries JSON-RPC; GET /health is a liveness probe."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "DragoonRpc/%d" % wire.PROTOCOL_VERSION
-    # Small request/response pairs on one keep-alive connection are the
-    # workload; Nagle + delayed ACK would add ~40ms to every round trip.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # request logging stays out of stdout (the CLI owns it)
-
-    def _respond(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        node: RpcNode = self.server.node  # type: ignore[attr-defined]
-        if self.path not in ("/", "/rpc"):
-            self._respond(
-                404, wire.failure(None, wire.INVALID_REQUEST,
-                                  "no such endpoint %r" % self.path)
-            )
-            # The unread body would desync the next keep-alive request.
-            self.close_connection = True
-            return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
-            length = -1
-        if length < 0:
-            self._respond(
-                411, wire.failure(None, wire.INVALID_REQUEST,
-                                  "a non-negative Content-Length is required")
-            )
-            self.close_connection = True
-            return
-        if length > node.max_request_bytes:
-            # Reject from the header alone — never buffer an oversized
-            # body into memory.
-            node.note_rejected()
-            self._respond(
-                413,
-                wire.failure(
-                    None, wire.OVERSIZED_REQUEST,
-                    "request of %d bytes exceeds the %d-byte cap"
-                    % (length, node.max_request_bytes),
-                ),
-            )
-            self.close_connection = True
-            return
-        raw = self.rfile.read(length)
-        self._respond(200, node.handle(raw))
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        node: RpcNode = self.server.node  # type: ignore[attr-defined]
-        if self.path == "/metrics":
-            # The scrape is auth-exempt by design: like /health it is a
-            # read-only operational surface — metrics carry counts and
-            # durations, never chain payloads or tokens.
-            body = render_prometheus().encode("utf-8")
-            self._respond(200, body, content_type=METRICS_CONTENT_TYPE)
-            return
-        if self.path != "/health":
-            self._respond(
-                404, wire.failure(None, wire.INVALID_REQUEST,
-                                  "no such endpoint %r" % self.path)
-            )
-            return
-        body = json.dumps(
-            {"ok": True, "height": node.chain.height,
-             "protocol": wire.PROTOCOL_VERSION}
-        ).encode("utf-8")
-        self._respond(200, body)
-
-
-class RpcHttpServer:
-    """A threaded localhost JSON-RPC server around one :class:`RpcNode`.
-
-    ``port=0`` binds an ephemeral port (read it back from :attr:`port`).
-    Use as a context manager in tests; long-lived processes call
-    :meth:`serve_forever` (the CLI's ``node rpc-serve``).
-    """
-
-    def __init__(
-        self, node: RpcNode, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self.node = node
-        self._httpd = ThreadingHTTPServer((host, port), _RpcRequestHandler)
-        self._httpd.daemon_threads = True
-        self._httpd.node = node  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-        # True while an accept loop may be running (either mode).  Guards
-        # shutdown(): BaseServer.shutdown() deadlocks if serve_forever
-        # was never entered, and server_close() under a live loop races
-        # the selector — so stop-the-loop must be mode-independent.
-        self._serving = threading.Event()
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return "http://%s:%d/rpc" % (self.host, self.port)
-
-    def start(self) -> "RpcHttpServer":
-        """Serve on a daemon thread (tests, embedded use)."""
-        self._serving.set()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="rpc-serve", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` (the CLI)."""
-        self._serving.set()
-        try:
-            self._httpd.serve_forever()
-        finally:
-            # The loop is down whether it returned (cross-thread
-            # shutdown()) or was blown out by KeyboardInterrupt; either
-            # way a later shutdown() must not wait on it again.
-            self._serving.clear()
-
-    def shutdown(self) -> None:
-        """Stop the accept loop (in both modes) and close the socket.
-
-        Safe whichever way the server ran — :meth:`start`'s daemon
-        thread or :meth:`serve_forever` on the caller's thread — and
-        safe to call twice: the loop is stopped *before* the listening
-        socket closes, never under a still-running accept loop.
-        """
-        if self._serving.is_set():
-            self._httpd.shutdown()
-            self._serving.clear()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "RpcHttpServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()

@@ -3,7 +3,8 @@
 The paper's Table I reports both wall-clock proving time and peak memory.
 :class:`Stopwatch` measures elapsed time; :class:`MemoryMeter` measures peak
 heap allocation via :mod:`tracemalloc` (our analogue of the paper's
-peak-RSS figure; see DESIGN.md §6 for the caveat).
+peak-RSS figure, with one caveat: it counts Python heap allocations,
+not the process's resident set).
 
 Timers read :func:`repro.obs.tracing.span_clock` — the same clock every
 trace span records — so benchmark tables and ``--trace`` files agree on

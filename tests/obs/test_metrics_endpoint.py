@@ -1,7 +1,9 @@
-"""The scrape surface: ``GET /metrics`` on both front-ends + ``node_metrics``."""
+"""The scrape surface: ``GET /metrics`` from blocking and asyncio clients,
+plus ``node_metrics``."""
 
 from __future__ import annotations
 
+import asyncio
 import urllib.request
 
 import pytest
@@ -11,11 +13,11 @@ from repro.rpc import (
     AsyncRpcServer,
     LoopbackTransport,
     RpcAuth,
-    RpcHttpServer,
     RpcNode,
     RpcSession,
 )
-from repro.rpc.server import METRICS_CONTENT_TYPE, READ_METHODS
+from repro.rpc.aserver import METRICS_CONTENT_TYPE
+from repro.rpc.server import READ_METHODS
 
 
 def scrape(server):
@@ -29,6 +31,39 @@ def scrape(server):
         )
 
 
+async def scrape_stream(server):
+    """GET /metrics from an asyncio stream client on its own loop."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    try:
+        writer.write(
+            b"GET /metrics HTTP/1.1\r\nHost: %s\r\n\r\n"
+            % server.host.encode("ascii")
+        )
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        headers = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = await reader.readexactly(int(headers["content-length"]))
+        return status, headers["content-type"], body.decode("utf-8")
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+@pytest.fixture(params=["threaded", "async"])
+def scraper(request):
+    """A /metrics scraper: urllib's blocking client, which parks the
+    calling thread on the socket, or an asyncio stream client."""
+    if request.param == "threaded":
+        return scrape
+    return lambda server: asyncio.run(scrape_stream(server))
+
+
 def families_of(body: str):
     return {
         line.split()[2]
@@ -37,15 +72,10 @@ def families_of(body: str):
     }
 
 
-@pytest.fixture(params=["threaded", "async"])
-def server_cls(request):
-    return RpcHttpServer if request.param == "threaded" else AsyncRpcServer
-
-
-def test_metrics_endpoint_serves_prometheus_text(server_cls):
+def test_metrics_endpoint_serves_prometheus_text(scraper):
     node = RpcNode()
-    with server_cls(node) as server:
-        status, content_type, body = scrape(server)
+    with AsyncRpcServer(node) as server:
+        status, content_type, body = scraper(server)
     assert status == 200
     assert content_type == METRICS_CONTENT_TYPE
     families = families_of(body)
@@ -57,21 +87,21 @@ def test_metrics_endpoint_serves_prometheus_text(server_cls):
     assert "verifier_pool_procs" in families
 
 
-def test_metrics_endpoint_is_auth_exempt(server_cls):
+def test_metrics_endpoint_is_auth_exempt(scraper):
     node = RpcNode(
         auth=RpcAuth(
             admin_tokens=("root-token",), submit_tokens=("sub-token",)
         )
     )
-    with server_cls(node) as server:
-        status, _content_type, body = scrape(server)  # no token sent
+    with AsyncRpcServer(node) as server:
+        status, _content_type, body = scraper(server)  # no token sent
     assert status == 200
     assert "rpc_requests_total" in body
 
 
 def test_rpc_traffic_moves_the_request_counters():
     node = RpcNode()
-    with RpcHttpServer(node) as server:
+    with AsyncRpcServer(node) as server:
         session = RpcSession(LoopbackTransport(node))
         labels = {"method": "chain_head"}
         before = REGISTRY.read("rpc_requests_total", labels) or 0

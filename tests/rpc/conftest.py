@@ -1,26 +1,28 @@
 """Fixtures for the RPC boundary suite.
 
-``rpc_setup`` is parametrized over every front-end, so each test that
-uses it runs against the in-memory loopback (full wire encoding, no
-socket), a real localhost HTTP socket on the threaded server, and the
-same socket protocol on the asyncio server — the CI ``rpc`` and
-``rpc-async`` lanes rely on this to exercise all three paths without
-separate harnesses.
+``rpc_setup`` is parametrized over every client transport, so each test
+that uses it runs over the in-memory loopback (full wire encoding, no
+socket), a real localhost socket through the blocking
+:class:`HttpTransport`, and the same socket through the asyncio
+:class:`AsyncHttpTransport` — the two socket cases against the node's
+one HTTP front-end, :class:`AsyncRpcServer`.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import pytest
 
 from repro.chain.transactions import scoped_tx_nonces
 from repro.crypto.rng import deterministic_entropy
 from repro.rpc import (
+    AsyncHttpTransport,
     AsyncRpcServer,
     HitSpec,
     HttpTransport,
     LoopbackTransport,
     RpcChain,
-    RpcHttpServer,
     RpcNode,
     RpcRequesterClient,
     RpcSwarm,
@@ -30,22 +32,45 @@ from repro.rpc import (
 from tests.helpers import small_task
 
 
+class BlockingAsyncTransport:
+    """An :class:`AsyncHttpTransport` driven from synchronous code.
+
+    The RPC client classes call ``transport.request`` synchronously;
+    this runs each request to completion on a private event loop.
+    """
+
+    def __init__(self, url: str) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._transport = AsyncHttpTransport(url)
+
+    def request(self, raw: bytes, idempotent: bool = False) -> bytes:
+        return self._loop.run_until_complete(
+            self._transport.request(raw, idempotent)
+        )
+
+    def close(self) -> None:
+        self._loop.run_until_complete(self._transport.close())
+        self._loop.close()
+
+
+def socket_transport(kind: str, url: str):
+    """The blocking (``"http"``) or asyncio (``"async"``) client transport."""
+    if kind == "http":
+        return HttpTransport(url)
+    return BlockingAsyncTransport(url)
+
+
 @pytest.fixture(params=["loopback", "http", "async"])
 def rpc_setup(request):
     """A fresh node plus a transport to it: ``(node, transport)``."""
     node = RpcNode()
     if request.param == "loopback":
         yield node, LoopbackTransport(node)
-    elif request.param == "http":
-        with RpcHttpServer(node) as server:
-            transport = HttpTransport(server.url)
-            yield node, transport
-            transport.close()
-    else:
-        with AsyncRpcServer(node) as server:
-            transport = HttpTransport(server.url)
-            yield node, transport
-            transport.close()
+        return
+    with AsyncRpcServer(node) as server:
+        transport = socket_transport(request.param, server.url)
+        yield node, transport
+        transport.close()
 
 
 @pytest.fixture

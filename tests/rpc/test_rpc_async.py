@@ -1,14 +1,11 @@
-"""The asyncio front-end: equivalence, auth, push, and churn.
+"""The asyncio front-end: auth, push, and churn.
 
-Three contracts pinned here, on top of the whole ``rpc_setup``-based
+Two contracts pinned here, on top of the whole ``rpc_setup``-based
 suite already running against :class:`AsyncRpcServer`:
 
-* **equivalence** — the same seeded scenario through the threaded and
-  asyncio front-ends produces byte-identical receipts and the same
-  ``state_root`` (the front-end is a transport, not a semantics layer);
 * **auth** — admin and submission methods refuse without a token and
-  work with one, identically over both front-ends, and a refusal never
-  moves ``state_root``;
+  work with one, over both the blocking and the asyncio client
+  transport, and a refusal never moves ``state_root``;
 * **push** — a ``chain_subscribe`` stream delivers every event exactly
   once, in order, because the server pushed it (zero ``chain_events``
   polls anywhere), survives concurrent subscribers, and ends loudly
@@ -35,41 +32,10 @@ from repro.rpc import (
     PushSubscription,
     RpcAuth,
     RpcChain,
-    RpcHttpServer,
     RpcNode,
     RpcSession,
 )
-from tests.rpc.conftest import run_one_hit
-from tests.rpc.test_rpc_contract import canonical_receipts, gas_as_data
-
-
-# ---------------------------------------------------------------------------
-# Equivalence: threaded vs asyncio front-end, byte for byte
-# ---------------------------------------------------------------------------
-
-
-def run_scenario_over(server_cls, seed: int = 23):
-    """One seeded HIT over a live server; everything RPC-read up front."""
-    node = RpcNode()
-    with server_cls(node) as server:
-        transport = HttpTransport(server.url)
-        outcomes = run_one_hit(transport, seed=seed)
-        summary = {
-            "receipts": [canonical_receipts(o) for o in outcomes],
-            "gas": [gas_as_data(o.gas) for o in outcomes],
-            "payments": [o.payments() for o in outcomes],
-            "verdicts": [o.verdicts() for o in outcomes],
-            "state_root": RpcChain(transport).state_root(),
-        }
-        transport.close()
-    assert all(summary["receipts"]), "scenario produced no receipts"
-    return summary
-
-
-def test_threaded_and_async_front_ends_are_byte_identical():
-    threaded = run_scenario_over(RpcHttpServer)
-    asynced = run_scenario_over(AsyncRpcServer)
-    assert threaded == asynced
+from tests.rpc.conftest import run_one_hit, socket_transport
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +43,13 @@ def test_threaded_and_async_front_ends_are_byte_identical():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(params=["threaded", "async"])
+@pytest.fixture(params=["http", "async"])
 def authed_server(request):
     node = RpcNode(
         auth=RpcAuth(admin_tokens=("root-token",), submit_tokens=("sub-token",))
     )
-    cls = RpcHttpServer if request.param == "threaded" else AsyncRpcServer
-    with cls(node) as server:
-        transport = HttpTransport(server.url)
+    with AsyncRpcServer(node) as server:
+        transport = socket_transport(request.param, server.url)
         yield node, transport
         transport.close()
 

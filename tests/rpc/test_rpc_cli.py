@@ -30,17 +30,15 @@ def test_parser_wires_rpc_serve():
     )
     assert args.func.__name__ == "_cmd_node_rpc_serve"
     assert args.host == "127.0.0.1" and args.port == 0
-    assert args.use_async is False
     assert args.admin_token == [] and args.submit_token == []
 
 
-def test_parser_wires_async_and_auth_flags():
+def test_parser_wires_auth_flags():
     args = build_parser().parse_args(
-        ["node", "rpc-serve", "--state-dir", "./x", "--async",
+        ["node", "rpc-serve", "--state-dir", "./x",
          "--admin-token", "root", "--submit-token", "s1",
          "--submit-token", "s2"]
     )
-    assert args.use_async is True
     assert args.admin_token == ["root"]
     assert args.submit_token == ["s1", "s2"]
 
@@ -76,6 +74,17 @@ def _spawn_rpc_serve(state_dir, *extra_args, env=None):
     return proc, port
 
 
+def _assert_cold_status_height(state_dir, env, height: int) -> str:
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "node", "status",
+         "--state-dir", state_dir],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "| height               | %d" % height in result.stdout
+    return result.stdout
+
+
 def test_rpc_serve_round_trip_out_of_process(tmp_path):
     state_dir = str(tmp_path / "node")
     env = _cli_env()
@@ -101,34 +110,15 @@ def test_rpc_serve_round_trip_out_of_process(tmp_path):
 
     # The shutdown handler snapshotted the served state; a cold `node
     # status` load reaches the same root the live node reported.
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "node", "status",
-         "--state-dir", state_dir],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert served_root.hex()[:32] in result.stdout
-    assert "| height               | 1" in result.stdout
-
-
-def _assert_cold_status_height(state_dir, env, height: int) -> str:
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "node", "status",
-         "--state-dir", state_dir],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "| height               | %d" % height in result.stdout
-    return result.stdout
+    stdout = _assert_cold_status_height(state_dir, env, 1)
+    assert served_root.hex()[:32] in stdout
 
 
 def test_rpc_serve_sigint_exits_cleanly_with_loadable_snapshot(tmp_path):
     """Ctrl-C is the documented stop; it must snapshot, not crash.
 
-    Regression for the PR-5 lifecycle bug: ``RpcHttpServer.shutdown()``
-    skipped ``self._httpd.shutdown()`` in ``serve_forever()`` mode (the
-    CLI path) and closed the listening socket under a still-running
-    accept loop, so the SIGINT snapshot path raced the server teardown.
+    The server must stop accepting and release its socket before the
+    shutdown snapshot is written, so SIGINT never races the teardown.
     """
     state_dir = str(tmp_path / "node")
     env = _cli_env()
@@ -151,7 +141,7 @@ def test_rpc_serve_async_out_of_process(tmp_path):
     """The asyncio front-end behind the CLI: requests, push, snapshot."""
     state_dir = str(tmp_path / "node")
     env = _cli_env()
-    proc, port = _spawn_rpc_serve(state_dir, "--async", env=env)
+    proc, port = _spawn_rpc_serve(state_dir, env=env)
     try:
         url = "http://127.0.0.1:%d/rpc" % port
         transport = HttpTransport(url)
@@ -184,7 +174,7 @@ def test_rpc_serve_async_auth_gates_out_of_process(tmp_path):
     state_dir = str(tmp_path / "node")
     env = _cli_env()
     proc, port = _spawn_rpc_serve(
-        state_dir, "--async", "--admin-token", "hunter2", env=env
+        state_dir, "--admin-token", "hunter2", env=env
     )
     try:
         transport = HttpTransport("http://127.0.0.1:%d/rpc" % port)

@@ -26,10 +26,10 @@ from repro.chain.transactions import scoped_tx_nonces
 from repro.crypto.rng import deterministic_entropy
 from repro.errors import ChainError, InvalidTransaction
 from repro.rpc import (
+    AsyncRpcServer,
     HttpTransport,
     LoopbackTransport,
     RpcChain,
-    RpcHttpServer,
     RpcNode,
     wire,
 )
@@ -405,7 +405,7 @@ def test_oversized_request_is_rejected_before_execution():
 
 def http_fuzz_server():
     node = RpcNode(max_request_bytes=4096)
-    return RpcHttpServer(node)
+    return AsyncRpcServer(node)
 
 
 def test_http_garbage_and_bad_routes_leave_the_server_alive():
@@ -417,7 +417,7 @@ def test_http_garbage_and_bad_routes_leave_the_server_alive():
         with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
             sock.sendall(b"\x00\x01garbage\r\n\r\n")
             sock.settimeout(5)
-            sock.recv(1024)  # whatever http.server answers; must not hang
+            sock.recv(1024)  # whatever the server answers; must not hang
 
         transport = HttpTransport(server.url)
         try:

@@ -1,12 +1,22 @@
-"""Method-level behaviour of the RPC node, over both transports."""
+"""Method-level behaviour of the RPC node, over every transport."""
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro.errors import RpcError
 from repro.ledger.accounts import Address
-from repro.rpc import LoopbackTransport, RpcChain, RpcNode, RpcSwarm, wire
+from repro.rpc import (
+    AsyncRpcServer,
+    HttpTransport,
+    LoopbackTransport,
+    RpcChain,
+    RpcNode,
+    RpcSwarm,
+    wire,
+)
 from repro.store import NodeStore, codec
 from repro.storage.swarm import SwarmError
 from tests.rpc.conftest import run_one_hit
@@ -138,43 +148,49 @@ def test_client_refuses_incompatible_server_version():
 # ---------------------------------------------------------------------------
 
 
-def test_shutdown_stops_a_serve_forever_server():
-    """Regression: ``shutdown()`` only worked after ``start()``.
-
-    In ``serve_forever()`` mode (the CLI path) ``self._thread`` is
-    None, and the old code skipped ``self._httpd.shutdown()`` entirely
-    — then called ``server_close()`` under a still-running accept
-    loop.  ``shutdown()`` must stop the loop in both modes.
-    """
-    import threading
-    import time
-
-    from repro.rpc import HttpTransport, RpcHttpServer
-
-    node = RpcNode()
-    server = RpcHttpServer(node)
+def _serve_forever_on_a_thread(server):
     runner = threading.Thread(target=server.serve_forever, daemon=True)
     runner.start()
-    deadline = time.time() + 10
-    while not server._serving.is_set() and time.time() < deadline:
-        time.sleep(0.01)
-    assert server._serving.is_set(), "serve_forever never started serving"
-    # Prove it serves, then stop it from another thread — the exact
-    # shape of the CLI's SIGINT handler running shutdown() mid-serve.
+    return runner
+
+
+def test_shutdown_stops_a_serve_forever_server():
+    """``shutdown()`` from another thread stops a ``serve_forever()``
+    loop — the exact shape of the CLI's signal path — and is safe to
+    call twice."""
+    server = AsyncRpcServer(RpcNode())
+    runner = _serve_forever_on_a_thread(server)
+    server._ready.wait(timeout=10)
+    assert server._bound is not None, "serve_forever never started serving"
     transport = HttpTransport(server.url)
     assert RpcChain(transport).height == 0
     transport.close()
     server.shutdown()
     runner.join(timeout=10)
     assert not runner.is_alive(), "serve_forever did not stop"
-    assert not server._serving.is_set()
     server.shutdown()  # idempotent: a second call must not deadlock
 
 
 def test_shutdown_before_serving_does_not_deadlock():
-    """``BaseServer.shutdown()`` hangs if ``serve_forever`` never ran;
-    the wrapper must not (the CLI can die between bind and serve)."""
-    from repro.rpc import RpcHttpServer
+    """The CLI can die between constructing and serving; shutdown()
+    must return promptly with no loop to stop."""
+    server = AsyncRpcServer(RpcNode())
+    server.shutdown()
 
-    server = RpcHttpServer(RpcNode())
-    server.shutdown()  # must return promptly, socket closed
+
+def test_shutdown_before_the_loop_is_up_is_not_lost():
+    """Regression: a ``shutdown()`` that ran before ``serve_forever()``'s
+    loop existed was silently dropped, and the server then served
+    forever.  The request must stick: the loop exits as soon as it is
+    up, whether shutdown() came first or raced the loop's start."""
+    early = AsyncRpcServer(RpcNode())
+    early.shutdown()
+    runner = _serve_forever_on_a_thread(early)
+    runner.join(timeout=10)
+    assert not runner.is_alive(), "an early shutdown() was lost"
+    for _ in range(10):
+        racing = AsyncRpcServer(RpcNode())
+        runner = _serve_forever_on_a_thread(racing)
+        racing.shutdown()
+        runner.join(timeout=10)
+        assert not runner.is_alive(), "a racing shutdown() was lost"

@@ -21,14 +21,24 @@ import gc
 
 import pytest
 
+from repro.chain.transactions import scoped_tx_nonces
+from repro.core.hit_contract import (
+    PHASE_COMMIT,
+    PHASE_DONE,
+    PHASE_EVALUATE,
+    PHASE_REVEAL,
+)
+from repro.core.session import SessionEngine
+from repro.crypto.rng import deterministic_entropy
 from repro.errors import ChainError
 from repro.ledger.accounts import Address
 from repro.lightclient import LightClient
 from repro.obs.registry import REGISTRY, render_prometheus
-from repro.rpc import LoopbackTransport, RpcChain, RpcNode
+from repro.rpc import LoopbackTransport, RpcChain, RpcNode, RpcSwarm
 from repro.store import codec
 from repro.store.trie import Header, ProofError, header_to_data
-from tests.rpc.conftest import run_one_hit
+from tests.helpers import small_task
+from tests.rpc.conftest import rpc_client_factories, run_one_hit
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +99,39 @@ def test_absent_account_is_an_error_not_a_zero(client):
 
 def test_task_phase_verifies_as_settled(client):
     assert client.task_phase("hit:alice") == 4
+
+
+def test_task_phase_tracks_the_contract_at_every_block():
+    """One task walks commit → reveal → evaluate → done, and at every
+    block the light client's verified phase is the phase the contract
+    enforces on the next block's transactions."""
+    node = RpcNode()
+    transport = LoopbackTransport(node)
+    requester_factory, worker_factory = rpc_client_factories(transport)
+    engine = SessionEngine(
+        chain=RpcChain(transport), swarm=RpcSwarm(transport)
+    )
+    light = LightClient(RpcChain(transport))
+    phases = []
+    with scoped_tx_nonces(), deterministic_entropy(7):
+        session = engine.publish_session(
+            requester_factory("alice", small_task())
+        )
+        name = session.contract_name
+        for slot, answers in enumerate([[0] * 10, [1] * 10]):
+            session.add_worker(
+                worker_factory("%s/worker-%d" % (name, slot), answers)
+            )
+        while True:
+            contract = node.chain.contract(name)
+            expected = contract._effective_phase(node.chain.clock.period)
+            assert light.task_phase(name) == expected, phases
+            phases.append(expected)
+            if engine.all_done:
+                break
+            engine.step()
+    walked = [p for i, p in enumerate(phases) if i == 0 or p != phases[i - 1]]
+    assert walked == [PHASE_COMMIT, PHASE_REVEAL, PHASE_EVALUATE, PHASE_DONE]
 
 
 def test_settlement_receipt_verifies_for_the_paid_worker(settled_node, client):

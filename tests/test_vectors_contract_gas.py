@@ -2,9 +2,8 @@
 
 These are golden-value tests on the gas model.  If a change to the
 contract or the gas schedule moves a headline number outside the band
-we validated against the paper, a test fails and EXPERIMENTS.md needs
-updating — exactly how a gas regression would be caught in a real
-contract repository.
+we validated against the paper, a test fails — exactly how a gas
+regression would be caught in a real contract repository.
 """
 
 import pytest
@@ -29,7 +28,7 @@ def test_publish_gas_band(imagenet_outcome):
 
 
 def test_submit_gas_band(imagenet_outcome):
-    """Paper: ~2830k (ours runs ~9% leaner; see EXPERIMENTS.md §dev 4)."""
+    """Paper: ~2830k (ours runs ~9% leaner)."""
     for worker in imagenet_outcome.workers:
         submit = imagenet_outcome.gas.submit_cost(worker.label)
         assert 2_300_000 < submit < 3_200_000
