@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 from repro.chain.transactions import Receipt, Transaction
@@ -19,6 +20,12 @@ class Block:
     receipts: Tuple[Receipt, ...]
 
     def block_hash(self) -> bytes:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
+        # Computed once per block: the hashed fields are frozen and so
+        # is every transaction in the tuple.
         material = self.number.to_bytes(8, "big") + self.parent_hash
         for transaction in self.transactions:
             material += transaction.tx_hash()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.crypto.keccak import keccak256
@@ -106,6 +107,12 @@ class Transaction:
     nonce: int = field(default_factory=_draw_nonce)
 
     def tx_hash(self) -> bytes:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
+        # Every hashed field is frozen, so the digest is computed once
+        # per object; ``dataclasses.replace`` builds a new object.
         material = (
             self.sender.value
             + self.contract.encode()

@@ -22,9 +22,20 @@ executor and retries before raising a loud
 :class:`~repro.errors.ProofPoolError` — never a hang.  ``procs=0`` runs
 the very same job functions inline, which is the serial reference the
 determinism tests pin pooled runs against.
+
+The pools (and with them ``multiprocessing``) load on first use, so
+importing :mod:`repro.parallel.metrics` for the pool metric families
+stays cheap.
 """
 
 from repro.errors import ProofPoolError
-from repro.parallel.pool import PoolJob, ProverPool, VerifierPool
 
 __all__ = ["PoolJob", "ProofPoolError", "ProverPool", "VerifierPool"]
+
+
+def __getattr__(name):
+    if name in ("PoolJob", "ProverPool", "VerifierPool"):
+        from repro.parallel import pool
+
+        return getattr(pool, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

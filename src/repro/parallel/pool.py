@@ -30,24 +30,10 @@ from repro.crypto.curve import CURVE_ORDER, G1Point
 from repro.crypto.rng import entropy
 from repro.crypto.tower import FQ2, FQ12
 from repro.errors import InvalidPoint, ProofPoolError
-from repro.obs import registry as _obs
 from repro.obs.tracing import get_tracer, span_clock
 from repro.parallel import jobs
+from repro.parallel.metrics import POOL_JOB_SECONDS, POOL_JOBS, POOL_RETRIES
 from repro.store import codec
-
-_POOL_JOBS = _obs.REGISTRY.counter(
-    "pool_jobs_total", "Jobs dispatched, by pool kind", labelnames=("kind",)
-)
-_POOL_RETRIES = _obs.REGISTRY.counter(
-    "pool_retries_total",
-    "Jobs re-run after a worker process died, by pool kind",
-    labelnames=("kind",),
-)
-_POOL_JOB_SECONDS = _obs.REGISTRY.histogram(
-    "pool_job_seconds",
-    "Submit-to-collect wall time per job, by pool kind",
-    labelnames=("kind",),
-)
 
 _UNSET = object()
 
@@ -201,7 +187,7 @@ class _ProcessPool:
         job._submitted = span_clock()
         job._trace_parent = tracer.current_span_id()
         self.jobs_dispatched += 1
-        _POOL_JOBS.inc(kind=self.kind)
+        POOL_JOBS.inc(kind=self.kind)
         if self.procs == 0:
             if tracer.enabled:
                 with tracer.span(
@@ -210,7 +196,7 @@ class _ProcessPool:
                     job._raw = fn(payload)
             else:
                 job._raw = fn(payload)
-            _POOL_JOB_SECONDS.observe(
+            POOL_JOB_SECONDS.observe(
                 span_clock() - job._submitted, kind=self.kind
             )
             return job
@@ -248,7 +234,7 @@ class _ProcessPool:
                     ) from failure
                 attempts += 1
                 self.retries += 1
-                _POOL_RETRIES.inc(kind=self.kind)
+                POOL_RETRIES.inc(kind=self.kind)
                 future = self._ensure_executor().submit(job._fn, job._payload)
 
     def _finish(self, job: PoolJob, raw: bytes) -> bytes:
@@ -259,7 +245,7 @@ class _ProcessPool:
         tracer was uninstalled still hands its decoder the inner bytes.
         """
         collected = span_clock()
-        _POOL_JOB_SECONDS.observe(collected - job._submitted, kind=self.kind)
+        POOL_JOB_SECONDS.observe(collected - job._submitted, kind=self.kind)
         if job._fn is not jobs.job_traced:
             return raw
         envelope = codec.decode(raw)

@@ -74,6 +74,10 @@ from repro.store.blockstore import StoreError
 from repro.rpc import wire
 from repro.rpc.wire import WireError
 
+# Imported for its pool_* families, so a node's scrape surface does not
+# depend on whether anything in the process has loaded a pool yet.
+import repro.parallel.metrics  # noqa: F401
+
 _RPC_REQUESTS = _obs.REGISTRY.counter(
     "rpc_requests_total",
     "Successfully dispatched RPC requests, by method",

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chain.blocks import GENESIS_HASH
@@ -133,22 +134,30 @@ class MerkleTrie:
     all earlier bits, so n keys cost exactly n-1 interior nodes and the
     structure (hence the root) is a pure function of the key/value set.
     Mutations clear cached hashes along the touched root-to-leaf path
-    only; :meth:`root` recomputes just those.
+    only; :meth:`root` recomputes just those.  The path of every key in
+    the trie is cached too, so re-setting a present key hashes nothing
+    until :meth:`root`; deleting a key drops its entry.
     """
 
-    __slots__ = ("_root", "_count", "hash_computes")
+    __slots__ = ("_root", "_count", "_paths", "hash_computes")
 
     def __init__(self) -> None:
         self._root: Any = None
         self._count = 0
+        #: ``path_of(key)`` for exactly the keys the trie holds.
+        self._paths: Dict[bytes, int] = {}
         #: Lifetime count of node-hash recomputations (cache misses).
         self.hash_computes = 0
 
     def __len__(self) -> int:
         return self._count
 
+    def _path(self, key: bytes) -> int:
+        path = self._paths.get(key)
+        return path_of(key) if path is None else path
+
     def get(self, key: bytes) -> Optional[bytes]:
-        path = path_of(key)
+        path = self._path(key)
         node = self._root
         while isinstance(node, _Branch):
             node = node.right if _path_bit(path, node.bit) else node.left
@@ -159,11 +168,12 @@ class MerkleTrie:
     def set(self, key: bytes, value: bytes) -> None:
         if not isinstance(value, bytes):
             raise ProofError("trie values must be bytes")
-        path = path_of(key)
+        path = self._path(key)
         node = self._root
         if node is None:
             self._root = _Leaf(path, value)
             self._count = 1
+            self._paths[key] = path
             return
         stack: List[_Branch] = []
         while isinstance(node, _Branch):
@@ -197,9 +207,10 @@ class MerkleTrie:
         else:
             parent.left = branch
         self._count += 1
+        self._paths[key] = path
 
     def delete(self, key: bytes) -> bool:
-        path = path_of(key)
+        path = self._path(key)
         node = self._root
         if node is None:
             return False
@@ -209,6 +220,7 @@ class MerkleTrie:
             node = node.right if _path_bit(path, node.bit) else node.left
         if node.path != path:
             return False
+        del self._paths[key]
         if not stack:
             self._root = None
             self._count = 0
@@ -266,7 +278,7 @@ class MerkleTrie:
         demonstrate absence (the descent *would* have found the key).
         """
         self.root()  # populate every hash cache along the way
-        path = path_of(key)
+        path = self._path(key)
         node = self._root
         if node is None:
             return {"steps": [], "leaf_path": None, "leaf_digest": None,
@@ -392,6 +404,11 @@ class Header:
     state_root: bytes
 
     def header_hash(self) -> bytes:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
+        # Computed once per header: every hashed field is frozen.
         return keccak256(
             _HEADER_TAG
             + self.height.to_bytes(8, "big")

@@ -1,8 +1,18 @@
-"""keccak-256 against the well-known Ethereum vectors and edge cases."""
+"""keccak-256 against the well-known Ethereum vectors and edge cases,
+and the sponge itself against an independent oracle: ``hashlib.sha3_256``
+runs the same keccak-f[1600] at the same 136-byte rate and differs only
+in its first pad byte (``0x06`` where keccak has ``0x01``)."""
+
+import hashlib
+import random
 
 import pytest
 
+from repro.crypto import keccak
 from repro.crypto.keccak import keccak256, keccak256_hex, keccak_to_int
+
+#: SHA3-256's first pad byte; keccak-256 uses 0x01.
+SHA3_PAD = 0x06
 
 KNOWN_VECTORS = [
     (b"", "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"),
@@ -60,3 +70,25 @@ def test_single_bit_avalanche():
 def test_no_trivial_collisions_on_prefixes():
     digests = {keccak256(b"msg-%d" % i) for i in range(200)}
     assert len(digests) == 200
+
+
+def test_sponge_matches_sha3_at_every_length_to_three_rates_plus_one():
+    """Every length 0..3*136+1: one to four absorbed blocks, and 135 /
+    271 / 407, where the whole pad folds into a single byte."""
+    message = random.Random(1600).randbytes(3 * 136 + 1)
+    for length in range(len(message) + 1):
+        data = message[:length]
+        expected = hashlib.sha3_256(data).digest()
+        assert keccak._sponge(data, SHA3_PAD) == expected, length
+
+
+@pytest.mark.parametrize("length", [1000, 4096, 5000, 8191])
+def test_sponge_matches_sha3_on_seeded_multi_kilobyte_inputs(length):
+    data = random.Random(length).randbytes(length)
+    assert keccak._sponge(data, SHA3_PAD) == hashlib.sha3_256(data).digest()
+
+
+def test_accepts_any_bytes_like_input():
+    data = random.Random(7).randbytes(300)
+    for view in (bytearray(data), memoryview(data)):
+        assert keccak256(view) == keccak256(data)
