@@ -192,6 +192,12 @@ def run_hit(
     every worker with the honest policy, and pump until the session
     settles — publish, commit, reveal, evaluate, finalize, one block per
     clock period, exactly as the synchronous model prescribes.
+
+    It keeps its own five-block loop rather than
+    :meth:`~repro.core.session.SessionEngine.serve`: its schedule is
+    pinned by ``GOLDEN_SEEDED_ROOT`` (``tests/test_state_trie.py``), and
+    a run that cannot finish comes back as an unfinished outcome after
+    five blocks instead of raising a stall error.
     """
     from repro.core.session import SessionConfig, SessionEngine
 

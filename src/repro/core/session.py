@@ -21,26 +21,35 @@ inverts the life cycle:
   task's quality rejections ride one ``evaluate_batch`` transaction
   (``evaluation="batched"``) and the chain grows per *phase*, not per
   task.
+* :meth:`SessionEngine.serve` is the one service loop.  Its callers —
+  :meth:`repro.dragoon.Dragoon.serve` (with ``run_task`` and
+  ``run_hits_batch``) and :func:`repro.rpc.harness.run_hits`, over a
+  ``Chain`` or an ``RpcChain`` alike — differ only in their ``admit``
+  step.
 * :class:`DropScheduler` and :class:`StragglerScheduler` are the
   scenario adversaries: they sit between a worker's reactive steps and
   the mempool, dropping or delaying commits and reveals to exercise the
   contract's Fig. 4 deadlines (a late reveal reverts; an unrevealed slot
   is refunded to the requester at finalization).
 
-``run_hit`` and ``Dragoon.run_hits_batch`` are thin wrappers over this
-engine; the lock-step five-block schedule falls out of the state machine
-as the special case where everyone acts at the earliest allowed period.
+:meth:`SessionEngine.run`, :func:`repro.core.protocol.run_hit` and the
+simulation runner keep loops of their own; each docstring says why.  The
+lock-step five-block schedule falls out of the state machine as the
+special case where everyone acts at the earliest allowed period.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple
 
 from repro.chain.blocks import Block
 from repro.chain.chain import Chain
 from repro.chain.eventlog import EventRecord
 from repro.chain.network import Scheduler
+from repro.chain.transactions import Receipt
 from repro.core.protocol import (
     ProtocolOutcome,
     gas_report_from_receipts,
@@ -248,6 +257,47 @@ class HITSession:
             self._schedule_worker_step(worker, step, self.chain.clock.period)
         return worker
 
+    @staticmethod
+    def check_staffing(
+        worker_answers: Sequence[Sequence[int]],
+        worker_labels: Optional[Sequence[str]],
+    ) -> None:
+        """Reject labels that do not match the answer sheets — called
+        before publishing, so no budget is escrowed for a task that no
+        session could settle."""
+        if worker_labels is not None and (
+            len(worker_labels) != len(worker_answers)
+        ):
+            raise ProtocolError("worker label count mismatch")
+
+    def enroll(
+        self,
+        make_worker: Callable[[str, List[int]], WorkerClient],
+        worker_answers: Sequence[Sequence[int]],
+        worker_labels: Optional[Sequence[str]],
+        policies: Optional[Dict[int, WorkerPolicy]],
+    ) -> List[WorkerClient]:
+        """Enroll one worker per answer sheet, built by
+        ``make_worker(label, answers)``.  Labels default to
+        ``"<contract>/worker-<i>"``; ``policies`` maps worker indexes to
+        adversarial :class:`WorkerPolicy` objects (unmapped: honest).
+        """
+        self.check_staffing(worker_answers, worker_labels)
+        if worker_labels is None:
+            worker_labels = [
+                "%s/worker-%d" % (self.contract_name, index)
+                for index in range(len(worker_answers))
+            ]
+        policies = policies or {}
+        return [
+            self.add_worker(
+                make_worker(label, list(answers)), policies.get(index)
+            )
+            for index, (label, answers) in enumerate(
+                zip(worker_labels, worker_answers)
+            )
+        ]
+
     @property
     def reveal_deadline(self) -> Optional[int]:
         """The observed Fig. 4 reveal deadline (None while unfilled)."""
@@ -422,29 +472,40 @@ class HITSession:
     # Outcome
     # ------------------------------------------------------------------
 
-    def receipts(self):
-        """Every receipt this task's contract produced, in chain order."""
-        return [
-            receipt
-            for block in self.chain.blocks
-            for receipt in block.receipts
-            if receipt.transaction.contract == self.contract_name
-        ]
-
     def outcome(self) -> ProtocolOutcome:
         """The finished session, packaged like the lock-step driver's."""
-        contract = self.chain.contract(self.contract_name)
-        receipts = self.receipts()
-        return ProtocolOutcome(
-            chain=self.chain,
-            swarm=self.swarm,
-            requester=self.requester,
-            workers=self.workers,
-            contract=contract,
-            actions=self.actions,
-            gas=gas_report_from_receipts(receipts),
-            receipts=receipts,
+        return session_outcomes([self])[0]
+
+
+def session_outcomes(sessions: Sequence[HITSession]) -> List[ProtocolOutcome]:
+    """Package sessions of one chain, reading its blocks once.
+
+    Over :class:`~repro.rpc.client.RpcChain`, ``chain.blocks`` fetches
+    every block, so one scan for all the sessions, not one per session,
+    keeps outcome assembly from costing tasks × height requests.
+    """
+    receipts: Dict[str, List[Receipt]] = {
+        session.contract_name: [] for session in sessions
+    }
+    if sessions:
+        for block in sessions[0].chain.blocks:
+            for receipt in block.receipts:
+                bucket = receipts.get(receipt.transaction.contract)
+                if bucket is not None:
+                    bucket.append(receipt)
+    return [
+        ProtocolOutcome(
+            chain=session.chain,
+            swarm=session.swarm,
+            requester=session.requester,
+            workers=session.workers,
+            contract=session.chain.contract(session.contract_name),
+            actions=session.actions,
+            gas=gas_report_from_receipts(receipts[session.contract_name]),
+            receipts=receipts[session.contract_name],
         )
+        for session in sessions
+    ]
 
 
 @dataclass
@@ -463,7 +524,7 @@ class SessionEngine:
 
     One engine owns one chain (and its Swarm store) and any number of
     concurrent sessions at arbitrary offsets: tasks may arrive
-    mid-stream (:meth:`publish_session` between steps), and each
+    mid-stream (:meth:`serve` admits them between steps), and each
     :meth:`step` mines exactly one block — empty if nobody acted — then
     delivers the block's events to every session whose contract emitted
     them.  Same-phase sessions therefore share blocks, which is what
@@ -588,8 +649,11 @@ class SessionEngine:
     def run(self, max_blocks: int = 256) -> int:
         """Step until every session settles; returns the blocks mined.
 
-        Raises :class:`ProtocolError` naming the stuck sessions if they
-        are still open after ``max_blocks`` — an unfilled task with no
+        The loop for sessions registered by hand, with no arrival
+        stream to admit — what the engine tests drive, step by step,
+        without going through :meth:`serve`.  Raises
+        :class:`ProtocolError` naming the stuck sessions if they are
+        still open after ``max_blocks`` — an unfilled task with no
         ``cancel_after`` is the usual culprit.
         """
         mined = 0
@@ -602,3 +666,118 @@ class SessionEngine:
             self.step()
             mined += 1
         return mined
+
+    def serve(
+        self,
+        arrivals: Iterable,
+        admit: Callable[[List], List[HITSession]],
+        max_blocks: Optional[int] = None,
+    ) -> List[ProtocolOutcome]:
+        """The service loop: admit arrivals mid-stream, settle them all.
+
+        ``arrivals`` holds anything with an ``at_block`` (engine steps
+        from the start of the loop; 0 = before its first block).  A
+        sequence may list them in any order (outcomes come back in its
+        order); an *open-ended iterator* — e.g. a Poisson process from
+        :mod:`repro.sim.arrivals` — is pulled lazily as blocks come up
+        and must yield non-decreasing ``at_block`` (outcomes in arrival
+        order).  ``admit(due)`` publishes one step's due arrivals and
+        returns their staffed sessions in the same order; then the step
+        mines one block, so a task entering at block 7 commits while
+        earlier tasks reveal or evaluate.
+
+        The loop ends at *quiescence*: stream exhausted, every session
+        terminal, mempool drained.  ``max_blocks=None`` adapts the stall
+        bound to the load (:meth:`_stall_bound`); a stalled loop raises
+        :class:`ProtocolError` naming the stuck sessions and phases.
+        The mempool is read only at quiescence or at the stall bound,
+        never per step: over an ``RpcChain`` each read is a request.
+        """
+        stream: Iterator[Tuple[int, object]]
+        if isinstance(arrivals, SequenceABC):
+            # Sorted, so an arrival before block 0 is the first one the
+            # loop below pulls — and rejects before admitting anything.
+            stream = iter(
+                sorted(enumerate(arrivals), key=lambda pair: pair[1].at_block)
+            )
+        else:
+            stream = iter(enumerate(arrivals))
+
+        sessions: Dict[int, HITSession] = {}  # arrival index -> session
+        pending = next(stream, None)
+        if pending is None:
+            return []
+        period0 = self.chain.clock.period  # period == period0 + step below
+        step = 0
+        last_progress = 0
+        progress_mark = (0, 0)
+        while True:
+            due: List[Tuple[int, object]] = []
+            while pending is not None and pending[1].at_block <= step:
+                if pending[1].at_block < 0:
+                    raise ProtocolError("arrivals cannot predate the serve loop")
+                if pending[1].at_block < step:
+                    raise ProtocolError(
+                        "arrival stream must be ordered by at_block "
+                        "(got block %d after the loop reached block %d)"
+                        % (pending[1].at_block, step)
+                    )
+                due.append(pending)
+                pending = next(stream, None)
+            if due:
+                admitted = admit([arrival for _, arrival in due])
+                sessions.update(zip((index for index, _ in due), admitted))
+            if pending is None and self.all_done and not len(self.chain.mempool):
+                break
+            bound = (
+                max_blocks
+                if max_blocks is not None
+                else self._stall_bound(last_progress, pending, period0)
+            )
+            # A non-empty mempool is imminent work (it mines next step),
+            # never a stall — e.g. the cancel transaction a timed-out
+            # session just submitted.
+            if step >= bound and not len(self.chain.mempool):
+                raise ProtocolError(
+                    "service loop stalled at block %d with %d open "
+                    "session(s): %s"
+                    % (step, len(self.active_sessions()), self.describe_stuck())
+                )
+            self.step()
+            step += 1
+            # Progress = a new admission or any session's phase moving;
+            # history lengths only ever grow, so the pair is a cheap
+            # monotone fingerprint.
+            mark = (
+                len(sessions),
+                sum(len(session.history) for session in sessions.values()),
+            )
+            if mark != progress_mark:
+                progress_mark = mark
+                last_progress = step
+        return session_outcomes([sessions[index] for index in sorted(sessions)])
+
+    def _stall_bound(
+        self,
+        last_progress: int,
+        pending: Optional[Tuple[int, object]],
+        period0: int,
+    ) -> int:
+        """The step past which an idle service loop counts as stuck.
+
+        Anchored at the latest of: the last observed progress, every
+        active session's self-scheduled work (converted from clock
+        periods to loop steps), and the next arrival's block.  The
+        slack on top scales with the number of in-flight sessions —
+        a deeper pipeline legitimately takes longer to drain than a
+        flat allowance assumes.
+        """
+        active = self.active_sessions()
+        horizon = last_progress
+        for session in active:
+            until = session.scheduled_until()
+            if until is not None:
+                horizon = max(horizon, until - period0)
+        if pending is not None:
+            horizon = max(horizon, pending[1].at_block)
+        return horizon + 16 + 4 * len(active)

@@ -11,14 +11,21 @@ deployed system at the paper's ropsten address did.
 Execution paths and throughput
 ------------------------------
 
-Three execution paths are offered:
+Every path runs through one service loop,
+:meth:`repro.core.session.SessionEngine.serve`, with :meth:`Dragoon.admit`
+as its admission step (each step's arrivals deploy in one block under
+their requesters' long-lived keys):
 
-* :meth:`Dragoon.run_task` — one task, one block per protocol phase
-  (five blocks per task), sequential ``evaluate`` transactions, one
-  VPKE verification per mismatch proof.  This is the paper's literal
-  deployment story.
-* :meth:`Dragoon.run_hits_batch` — N tasks interleaved on the shared
-  chain.  All deployments seal into a *single* block
+* :meth:`Dragoon.serve` — the general case: tasks arrive at arbitrary
+  block offsets mid-stream, each runs its own event-driven phase state
+  machine, and same-phase sessions share blocks (and the batched
+  verification paths) automatically.
+* :meth:`Dragoon.run_task` — the one-arrival case: one task, one block
+  per protocol phase (five blocks per task), sequential ``evaluate``
+  transactions, one VPKE verification per mismatch proof.  This is the
+  paper's literal deployment story.
+* :meth:`Dragoon.run_hits_batch` — the all-at-once case: N tasks
+  arrive at block 0, so all deployments seal into a *single* block
   (:meth:`repro.chain.chain.Chain.deploy_many`), all commits share the
   next block, then reveals, then evaluations, then finalizations: five
   blocks total for the whole batch instead of five per task.  Each
@@ -26,12 +33,6 @@ Three execution paths are offered:
   transaction whose VPKE proofs the contract verifies in a single
   random-linear-combination check
   (:func:`repro.crypto.vpke.verify_decryption_batch`).
-* :meth:`Dragoon.serve` — the general service loop over the session
-  engine (:class:`repro.core.session.SessionEngine`): tasks arrive at
-  arbitrary block offsets mid-stream, each runs its own event-driven
-  phase state machine, and same-phase sessions share blocks (and the
-  batched verification paths) automatically.  ``run_hits_batch`` is the
-  special case where every task arrives at once.
 
 Precomputation knobs
 --------------------
@@ -50,18 +51,12 @@ table).
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chain.chain import Chain
 from repro.chain.network import Scheduler
-from repro.core.hit_contract import HITContract
-from repro.core.protocol import (
-    GasReport,
-    ProtocolOutcome,
-    gas_report_from_receipts,
-)
+from repro.core.protocol import ProtocolOutcome
 from repro.core.requester import RequesterClient
 from repro.core.session import (
     HITSession,
@@ -206,25 +201,7 @@ class Dragoon:
 
     def publish_task(self, requester_label: str, task: HITTask) -> TaskHandle:
         """Publish a task under the requester's long-lived key."""
-        requester = RequesterClient(
-            requester_label,
-            task,
-            self.chain,
-            self.swarm,
-            balance=None
-            if not self.chain.ledger.has_account(
-                Address.from_label(requester_label)
-            )
-            else self.chain.ledger.balance_of(Address.from_label(requester_label)),
-            secret=self._requester_secret(requester_label),
-        )
-        name = "hit:%s:%d" % (requester_label, self._next_task_serial())
-        receipt = requester.publish(contract_name=name)
-        if not receipt.succeeded:
-            raise ProtocolError("publish failed: %s" % receipt.revert_reason)
-        handle = TaskHandle(contract_name=name, requester=requester)
-        self.tasks[name] = handle
-        return handle
+        return self.publish_tasks_batch([(requester_label, task)])[0]
 
     def submit_answers(
         self, handle: TaskHandle, worker_label: str, answers: Sequence[int]
@@ -245,43 +222,16 @@ class Dragoon:
         worker_answers: Sequence[Sequence[int]],
         worker_labels: Optional[Sequence[str]] = None,
     ) -> ProtocolOutcome:
-        """Publish, collect, evaluate, and settle one task end to end."""
-        handle = self.publish_task(requester_label, task)
-        labels = list(
-            worker_labels
-            if worker_labels is not None
-            else [
-                "%s/worker-%d" % (handle.contract_name, i)
-                for i in range(len(worker_answers))
-            ]
+        """Publish, collect, evaluate, and settle one task end to end.
+
+        The one-arrival case of :meth:`serve`, evaluated sequentially:
+        publish, commit, reveal, evaluate and finalize in five blocks.
+        """
+        arrival = TaskArrival(
+            0, requester_label, task, worker_answers,
+            worker_labels=worker_labels, evaluation="sequential",
         )
-        for label, answers in zip(labels, worker_answers):
-            self.submit_answers(handle, label, answers)
-        self.chain.mine_block()  # commits
-
-        for worker in handle.workers:
-            worker.send_reveal()
-        self.chain.mine_block()  # reveals
-
-        actions = handle.requester.evaluate_all()
-        self.chain.mine_block()  # golden + rejections
-
-        handle.requester.send_finalize()
-        self.chain.mine_block()
-        handle.finished = True
-
-        contract = self.chain.contract(handle.contract_name)
-        assert isinstance(contract, HITContract)
-        gas = self._gas_report_for(handle)
-        return ProtocolOutcome(
-            chain=self.chain,
-            swarm=self.swarm,
-            requester=handle.requester,
-            workers=handle.workers,
-            contract=contract,
-            actions=actions,
-            gas=gas,
-        )
+        return self.serve([arrival])[0]
 
     def publish_tasks_batch(
         self, specs: Sequence[Tuple[str, HITTask]]
@@ -296,17 +246,7 @@ class Dragoon:
         names: List[str] = []
         for requester_label, task in specs:
             requester = RequesterClient(
-                requester_label,
-                task,
-                self.chain,
-                self.swarm,
-                balance=None
-                if not self.chain.ledger.has_account(
-                    Address.from_label(requester_label)
-                )
-                else self.chain.ledger.balance_of(
-                    Address.from_label(requester_label)
-                ),
+                requester_label, task, self.chain, self.swarm,
                 secret=self._requester_secret(requester_label),
             )
             name = "hit:%s:%d" % (requester_label, self._next_task_serial())
@@ -333,22 +273,16 @@ class Dragoon:
         """Run N tasks through five *shared* blocks (batched throughput).
 
         ``specs`` holds ``(requester_label, task, worker_answers)``
-        triples.  A thin wrapper over :meth:`serve` with every task
-        arriving at block 0: all tasks publish in one block, then all
-        workers' commits share a block, then all reveals, then all
-        evaluations (each task's quality rejections in one
-        ``evaluate_batch`` transaction), then all finalizations — so a
-        batch of N tasks advances the chain by 5 blocks instead of ~5N
-        and verifies all of a task's mismatch proofs in a single
-        batched check.
+        triples.  The all-at-once case of :meth:`serve`: all tasks
+        publish in one block, then all workers' commits share a block,
+        then all reveals, then all evaluations (each task's quality
+        rejections in one ``evaluate_batch`` transaction), then all
+        finalizations — so a batch of N tasks advances the chain by 5
+        blocks instead of ~5N and verifies all of a task's mismatch
+        proofs in a single batched check.
         """
-        if not specs:
-            return []
         return self.serve(
-            [
-                TaskArrival(0, label, task, worker_answers)
-                for label, task, worker_answers in specs
-            ]
+            [TaskArrival(0, label, task, answers) for label, task, answers in specs]
         )
 
     def serve(
@@ -358,150 +292,34 @@ class Dragoon:
     ) -> List[ProtocolOutcome]:
         """The service loop: accept task arrivals mid-stream, settle all.
 
-        ``arrivals`` may be any iterable — a materialized sequence or an
-        *open-ended generator* (e.g. a Poisson process from
-        :mod:`repro.sim.arrivals`).  Nothing is precomputed: arrivals
-        are pulled lazily as their block comes up, so neither the
-        stream's length nor its horizon needs to be known.  A sequence
-        may list arrivals in any order (outcomes come back in the
-        sequence's order); a lazy iterator must yield them in
-        non-decreasing ``at_block`` order (outcomes in arrival order).
-
-        Each engine step mines one block; arrivals due at that step are
-        published first (same-step arrivals share one deployment block
-        via :meth:`Chain.deploy_many`), their sessions registered, and
-        their workers enrolled, so a task entering at block 7 commits
-        while earlier tasks are revealing or evaluating.  The loop ends
-        at *quiescence*: stream exhausted, every session terminal, and
-        the mempool drained.
-
-        With ``max_blocks=None`` the stall bound adapts to the load: it
-        scales with the number of in-flight sessions and defers to any
-        self-scheduled future work (policy-delayed steps, pending
-        ``cancel_after`` timeouts, a far-off next arrival).  A stalled
-        loop raises :class:`ProtocolError` naming the stuck sessions
-        and their phases.
+        :meth:`SessionEngine.serve` with :meth:`admit` as its admission
+        step, so same-step arrivals share one deployment block.  It
+        takes a sequence in any order or an open-ended generator in
+        ``at_block`` order, returns outcomes in sequence (or arrival)
+        order, ends at quiescence, and raises :class:`ProtocolError`
+        naming the stuck sessions if the loop stalls.
         """
-        stream: Iterator[Tuple[int, TaskArrival]]
-        if isinstance(arrivals, SequenceABC):
-            for arrival in arrivals:
-                if arrival.at_block < 0:
-                    raise ProtocolError(
-                        "arrivals cannot predate the serve loop"
-                    )
-            stream = iter(
-                sorted(enumerate(arrivals), key=lambda pair: pair[1].at_block)
-            )
-        else:
-            stream = iter(enumerate(arrivals))
-
-        sessions: Dict[int, HITSession] = {}  # arrival index -> session
-        pending = next(stream, None)
-        if pending is None:
-            return []
-        period0 = self.chain.clock.period  # period == period0 + step below
-        step = 0
-        last_progress = 0
-        progress_mark = (0, 0)
-        while True:
-            due: List[Tuple[int, TaskArrival]] = []
-            while pending is not None and pending[1].at_block <= step:
-                if pending[1].at_block < 0:
-                    raise ProtocolError(
-                        "arrivals cannot predate the serve loop"
-                    )
-                if pending[1].at_block < step:
-                    raise ProtocolError(
-                        "arrival stream must be ordered by at_block "
-                        "(got block %d after the loop reached block %d)"
-                        % (pending[1].at_block, step)
-                    )
-                due.append(pending)
-                pending = next(stream, None)
-            if due:
-                admitted = self.admit([arrival for _, arrival in due])
-                sessions.update(
-                    zip((index for index, _ in due), admitted)
-                )
-            if (
-                pending is None
-                and self.engine.all_done
-                and not len(self.chain.mempool)
-            ):
-                break
-            bound = (
-                max_blocks
-                if max_blocks is not None
-                else self._stall_bound(last_progress, pending, period0)
-            )
-            # A non-empty mempool is imminent work (it mines next step),
-            # never a stall — e.g. the cancel transaction a timed-out
-            # session just submitted.
-            if step >= bound and not len(self.chain.mempool):
-                raise ProtocolError(
-                    "service loop stalled at block %d with %d open "
-                    "session(s): %s"
-                    % (
-                        step,
-                        len(self.engine.active_sessions()),
-                        self.engine.describe_stuck(),
-                    )
-                )
-            self.engine.step()
-            step += 1
-            # Progress = a new admission or any session's phase moving;
-            # history lengths only ever grow, so the pair is a cheap
-            # monotone fingerprint.
-            mark = (
-                len(sessions),
-                sum(len(session.history) for session in sessions.values()),
-            )
-            if mark != progress_mark:
-                progress_mark = mark
-                last_progress = step
-
-        outcomes = []
-        for index in sorted(sessions):
-            session = sessions[index]
-            self.tasks[session.contract_name].finished = True
-            outcomes.append(session.outcome())
+        outcomes = self.engine.serve(arrivals, self.admit, max_blocks)
+        for outcome in outcomes:
+            self.tasks[outcome.requester.contract_name].finished = True
         return outcomes
-
-    def _stall_bound(
-        self,
-        last_progress: int,
-        pending: Optional[Tuple[int, TaskArrival]],
-        period0: int,
-    ) -> int:
-        """The step past which an idle service loop counts as stuck.
-
-        Anchored at the latest of: the last observed progress, every
-        active session's self-scheduled work (converted from clock
-        periods to loop steps), and the next arrival's block.  The
-        slack on top scales with the number of in-flight sessions —
-        a deeper pipeline legitimately takes longer to drain than the
-        old flat ``horizon + 64`` allowance assumed.
-        """
-        active = self.engine.active_sessions()
-        horizon = last_progress
-        for session in active:
-            until = session.scheduled_until()
-            if until is not None:
-                horizon = max(horizon, until - period0)
-        if pending is not None:
-            horizon = max(horizon, pending[1].at_block)
-        return horizon + 16 + 4 * len(active)
 
     def admit(self, arrivals: Sequence[TaskArrival]) -> List[HITSession]:
         """Publish one step's arrivals (sharing a single deployment block)
         and enroll their sessions and workers.
 
-        The building block :meth:`serve` (and the simulation runner in
-        :mod:`repro.sim.runner`) uses between engine steps; an arrival
-        with no ``worker_answers`` is admitted unstaffed — its workers
-        join later (e.g. a :class:`repro.sim.population.WorkerPopulation`
-        enrolling through the marketplace).
+        The admission step of :meth:`serve`, and the building block the
+        simulation runner in :mod:`repro.sim.runner` calls between
+        engine steps; an arrival with no ``worker_answers`` is admitted
+        unstaffed — its workers join later (e.g. a
+        :class:`repro.sim.population.WorkerPopulation` enrolling through
+        the marketplace).  A malformed arrival is rejected before any
+        of the step's tasks deploys.
         """
+        for arrival in arrivals:
+            HITSession.check_staffing(
+                arrival.worker_answers, arrival.worker_labels
+            )
         handles = self.publish_tasks_batch(
             [(arrival.requester_label, arrival.task) for arrival in arrivals]
         )
@@ -514,38 +332,19 @@ class Dragoon:
                     cancel_after=arrival.cancel_after,
                 ),
             )
-            labels = list(
-                arrival.worker_labels
-                if arrival.worker_labels is not None
-                else [
-                    "%s/worker-%d" % (handle.contract_name, index)
-                    for index in range(len(arrival.worker_answers))
-                ]
-            )
-            if len(labels) != len(arrival.worker_answers):
-                raise ProtocolError("worker label count mismatch")
-            policies = arrival.worker_policies or {}
-            for index, (label, answers) in enumerate(
-                zip(labels, arrival.worker_answers)
-            ):
-                worker = WorkerClient(
-                    label, self.chain, self.swarm, answers=list(answers)
+            handle.workers.extend(
+                session.enroll(
+                    self._new_worker,
+                    arrival.worker_answers,
+                    arrival.worker_labels,
+                    arrival.worker_policies,
                 )
-                session.add_worker(worker, policy=policies.get(index))
-                handle.workers.append(worker)
+            )
             sessions.append(session)
         return sessions
 
-    def _gas_report_for(self, handle: TaskHandle) -> GasReport:
-        """Reconstruct the per-operation gas ledger from receipts."""
-        return gas_report_from_receipts(
-            [
-                receipt
-                for block in self.chain.blocks
-                for receipt in block.receipts
-                if receipt.transaction.contract == handle.contract_name
-            ]
-        )
+    def _new_worker(self, label: str, answers: List[int]) -> WorkerClient:
+        return WorkerClient(label, self.chain, self.swarm, answers=answers)
 
     # ------------------------------------------------------------------
     # Observation

@@ -630,6 +630,16 @@ class RemoteClock:
         return self._session.call("chain_head")["period"]
 
 
+class RemoteMempool:
+    """Mirror of the mempool's depth: ``len()`` is all it answers."""
+
+    def __init__(self, session: RpcSession) -> None:
+        self._session = session
+
+    def __len__(self) -> int:
+        return self._session.call("chain_head")["mempool"]
+
+
 class RemoteLedger:
     """Mirror of the ledger reads clients perform (balances, payments)."""
 
@@ -692,14 +702,17 @@ class RpcChain:
     """The :class:`~repro.chain.chain.Chain` surface, spoken over RPC.
 
     Implements exactly the slice the protocol clients and the session
-    engine use; anything else (mempool introspection, store attachment)
-    is the node's business, not a remote client's.
+    engine use, down to a read-only ``mempool`` whose ``len()`` (the
+    ``chain_head`` pending count) the service loop's stop rule reads.
+    Pending transactions themselves and store attachment stay the
+    node's business.
     """
 
     def __init__(self, transport, auth: Optional[str] = None) -> None:
         self.rpc = RpcSession(transport, auth=auth)
         self.clock = RemoteClock(self.rpc)
         self.ledger = RemoteLedger(self.rpc)
+        self.mempool = RemoteMempool(self.rpc)
 
     # -- accounts ---------------------------------------------------------------
 
@@ -836,8 +849,8 @@ class RpcChain:
         """Every sealed block, fetched one RPC page at a time.
 
         An observation convenience mirroring ``Chain.blocks`` for
-        outcome assembly (``HITSession.receipts``); event subscriptions
-        are the scalable read path.
+        outcome assembly (``session_outcomes`` reads it once per call);
+        event subscriptions are the scalable read path.
         """
         return [
             codec.block_from_data(

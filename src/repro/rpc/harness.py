@@ -2,12 +2,17 @@
 
 The session engine does not care whether its chain is the in-process
 :class:`~repro.chain.chain.Chain` or an :class:`~repro.rpc.client.RpcChain`
-speaking to a node — both expose the same surface.  :func:`run_hits`
-exploits that: one scenario description, one driver, two (or more)
-transports.  The RPC contract tests run the *same* seeded scenario
-in process and over RPC and compare receipts, gas, and ``state_root``
-byte for byte; ``benchmarks/bench_rpc.py`` runs it against loopback and
-a localhost socket to price the boundary.
+speaking to a node — both expose the same surface, down to the
+mempool depth the service loop's stop rule reads.  :func:`run_hits`
+exploits that: one scenario description, one loop
+(:meth:`~repro.core.session.SessionEngine.serve`, shared with
+:meth:`repro.dragoon.Dragoon.serve`), two (or more) transports.  It
+differs from the facade only in its admission step, which publishes
+each task through its own requester client.  The RPC contract tests run
+the *same* seeded scenario in process and over RPC and compare
+receipts, gas, and ``state_root`` byte for byte;
+``benchmarks/bench_rpc.py`` runs it against loopback and a localhost
+socket to price the boundary.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.protocol import ProtocolOutcome
-from repro.core.session import SessionConfig, SessionEngine
-from repro.errors import ProtocolError
+from repro.core.session import HITSession, SessionConfig, SessionEngine
 
 
 @dataclass
@@ -47,47 +51,21 @@ def run_hits(
     bound to ``chain``/``swarm``, or the RPC client classes bound to a
     transport.  Outcomes come back in spec order.
     """
-    if not specs:
-        return []
     engine = SessionEngine(chain=chain, swarm=swarm)
-    order = sorted(range(len(specs)), key=lambda index: specs[index].at_block)
-    sessions: dict = {}
-    position = 0
-    step = 0
-    while position < len(order) or not engine.all_done or not sessions:
-        while (
-            position < len(order)
-            and specs[order[position]].at_block <= step
-        ):
-            index = order[position]
-            spec = specs[index]
-            requester = requester_factory(spec.requester_label, spec.task)
+
+    def admit(due: List[HitSpec]) -> List[HITSession]:
+        for spec in due:
+            HITSession.check_staffing(spec.worker_answers, spec.worker_labels)
+        sessions = []
+        for spec in due:
             session = engine.publish_session(
-                requester, config=SessionConfig(evaluation=spec.evaluation)
+                requester_factory(spec.requester_label, spec.task),
+                config=SessionConfig(evaluation=spec.evaluation),
             )
-            labels = list(
-                spec.worker_labels
-                if spec.worker_labels is not None
-                else [
-                    "%s/worker-%d" % (session.contract_name, slot)
-                    for slot in range(len(spec.worker_answers))
-                ]
+            session.enroll(
+                worker_factory, spec.worker_answers, spec.worker_labels, None
             )
-            if len(labels) != len(spec.worker_answers):
-                raise ProtocolError("worker label count mismatch")
-            for label, answers in zip(labels, spec.worker_answers):
-                session.add_worker(worker_factory(label, list(answers)))
-            sessions[index] = session
-            position += 1
-        if step >= max_blocks:
-            raise ProtocolError(
-                "%d sessions still open after %d blocks: %s"
-                % (
-                    len(engine.active_sessions()),
-                    step,
-                    engine.describe_stuck(),
-                )
-            )
-        engine.step()
-        step += 1
-    return [sessions[index].outcome() for index in range(len(specs))]
+            sessions.append(session)
+        return sessions
+
+    return engine.serve(specs, admit, max_blocks)

@@ -692,6 +692,7 @@ class RpcNode:
             "block_hash": blocks[-1].block_hash().hex() if blocks else None,
             "events": len(self.chain.event_log),
             "events_pruned": self.chain.event_log.pruned,
+            "mempool": len(self.chain.mempool),
         }
 
     def _chain_block(self, params: Dict[str, Any]) -> Dict[str, Any]:

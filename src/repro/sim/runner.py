@@ -337,6 +337,14 @@ def _loop(
 def _loop_body(
     continuation: _Continuation, store, interrupt_after: Optional[int]
 ) -> Union[SimulationRun, InterruptedRun]:
+    """The marketplace loop, kept apart from ``SessionEngine.serve``.
+
+    It admits through the same :meth:`Dragoon.admit` and stops on the
+    same quiescence rule, but population observation and enrollment,
+    metrics sampling, event-log pruning and checkpoints sit between
+    admission and each engine step — work a bare service loop has no
+    place for.
+    """
     state = continuation
     scenario = state.scenario
     dragoon = state.dragoon

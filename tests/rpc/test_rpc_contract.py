@@ -20,6 +20,8 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.chain import Chain
+from repro.errors import ProtocolError
+from repro.ledger.accounts import Address
 from repro.chain.transactions import scoped_tx_nonces
 from repro.core.requester import RequesterClient
 from repro.core.worker import WorkerClient
@@ -158,3 +160,20 @@ def test_single_hit_equivalence_over_each_transport(rpc_setup):
     assert gas_as_data(in_process[0].gas) == gas_as_data(over_rpc[0].gas)
     assert in_process[0].payments() == over_rpc[0].payments()
     assert codec.state_root(chain) == codec.state_root(node.chain)
+
+
+def test_malformed_spec_is_rejected_before_anything_deploys():
+    """A spec whose labels do not match its answer sheets fails before
+    its requester registers or publishes: the node's state is untouched."""
+    node = RpcNode()
+    transport = LoopbackTransport(node)
+    RpcChain(transport).register_account("bystander", 100)
+    before = codec.state_root(node.chain)
+    specs = [HitSpec(0, "alice", small_task(), [[0] * 10, [1] * 10],
+                     worker_labels=["x"])]
+    with pytest.raises(ProtocolError, match="label count"):
+        run_over_rpc(specs, transport)
+    assert node.chain.height == 0
+    assert codec.state_root(node.chain) == before
+    assert node.chain.ledger.balance_of(Address.from_label("bystander")) == 100
+    assert not node.chain.ledger.has_account(Address.from_label("alice"))

@@ -38,7 +38,7 @@ def test_head_block_and_mining(rpc_setup):
     head = chain.rpc.call("chain_head")
     assert head == {
         "height": 0, "period": 0, "block_hash": None,
-        "events": 0, "events_pruned": 0,
+        "events": 0, "events_pruned": 0, "mempool": 0,
     }
     block = chain.mine_block()
     assert block.number == 0
@@ -91,6 +91,19 @@ def test_transaction_round_trip_preserves_hash(rpc_setup):
     # stamp (send() verifies), and the mined receipt carries it.
     block = chain.mine_block()
     assert block.transactions[-1].tx_hash() == transaction.tx_hash()
+
+
+def test_mempool_depth_rides_chain_head(loopback_node):
+    """``len(RpcChain.mempool)`` is the node's pending count, read from
+    ``chain_head`` — the service loop's stop rule over the wire."""
+    node, transport = loopback_node
+    chain = RpcChain(transport)
+    requester = run_one_hit(transport, seed=3)[0].requester
+    assert len(chain.mempool) == 0  # the loop stopped at quiescence
+    chain.send(requester.address, "hit:alice", "finalize")
+    assert len(chain.mempool) == len(node.chain.mempool) == 1
+    chain.mine_block()
+    assert len(chain.mempool) == 0
 
 
 def test_swarm_gateway_round_trips_and_misses(rpc_setup):

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.dragoon import Dragoon
+from repro.chain.transactions import scoped_tx_nonces
+from repro.crypto.rng import deterministic_entropy
+from repro.dragoon import Dragoon, TaskArrival
 from repro.errors import ProtocolError
+from repro.ledger.accounts import Address
+from repro.store.codec import state_root
 from tests.helpers import small_task
 
 GOOD = [0] * 10
@@ -90,3 +94,77 @@ def test_total_gas_accumulates():
     system.run_task("alice", small_task(), [GOOD, GOOD],
                     worker_labels=["w2", "w3"])
     assert system.total_gas > first_total
+
+
+def test_malformed_arrival_is_rejected_before_anything_deploys():
+    """A label list that does not match the answer sheets fails before
+    publication: no block, no task, no budget escrowed in a contract
+    that no session could ever settle or cancel."""
+    system = Dragoon()
+    system.fund("req", 100)
+    arrival = TaskArrival(0, "req", small_task(), [GOOD, BAD],
+                          worker_labels=["x"])
+    with pytest.raises(ProtocolError, match="label count"):
+        system.serve([arrival])
+    with pytest.raises(ProtocolError, match="label count"):
+        system.admit([arrival])  # the simulation runner's direct path
+    assert system.chain.height == 0
+    assert system.tasks == {}
+    assert system.chain.ledger.balance_of(Address.from_label("req")) == 100
+
+
+# The facade path, recorded before run_task and publish_task went
+# through the shared service loop: the loop must replay it exactly.
+FACADE_ROOT = "dc9359f9810f5e588d05ae8c98961aafb26c258128013f06def45835ad5c611c"
+FACADE_GAS = 6_924_545
+FACADE_SCHEDULE = [
+    [("alice", "__deploy__")],
+    [("hit:alice:0/worker-0", "commit"), ("hit:alice:0/worker-1", "commit")],
+    [("hit:alice:0/worker-0", "reveal"), ("hit:alice:0/worker-1", "reveal")],
+    [("alice", "golden"), ("alice", "evaluate")],
+    [("alice", "finalize")],
+    [("pauper", "__deploy__")],  # the reverted publish still seals
+    [("bob", "__deploy__")],
+    [("w0", "commit"), ("w1", "commit")],
+    [("w0", "reveal"), ("w1", "reveal")],
+    [("bob", "golden")],
+    [("bob", "finalize")],
+    [("alice", "__deploy__")],
+    [("w1", "commit"), ("w2", "commit")],
+    [("w1", "reveal"), ("w2", "reveal")],
+    [("alice", "golden"), ("alice", "evaluate")],
+    [("alice", "finalize")],
+]
+
+
+def test_facade_path_is_byte_identical():
+    """Three seeded run_task calls — two requesters, default and custom
+    worker labels, quality rejections — plus one unfunded publish keep
+    their state root, height, gas and per-block schedule."""
+    with scoped_tx_nonces(), deterministic_entropy(1414):
+        system = Dragoon()
+        system.fund("alice", 200)
+        system.fund("bob", 100)
+        system.fund("pauper", 1)
+        first = system.run_task("alice", small_task(), [GOOD, BAD])
+        with pytest.raises(ProtocolError, match="cannot cover the budget"):
+            system.publish_task("pauper", small_task())
+        second = system.run_task("bob", small_task(), [GOOD, GOOD],
+                                 worker_labels=["w0", "w1"])
+        third = system.run_task("alice", small_task(), [BAD, GOOD],
+                                worker_labels=["w1", "w2"])
+        root = state_root(system.chain)
+    assert root.hex() == FACADE_ROOT
+    assert system.chain.height == len(FACADE_SCHEDULE)
+    assert system.total_gas == FACADE_GAS
+    assert [
+        [
+            (receipt.transaction.sender.label, receipt.transaction.method)
+            for receipt in block.receipts
+        ]
+        for block in system.chain.blocks
+    ] == FACADE_SCHEDULE
+    assert [first.gas.total, second.gas.total, third.gas.total] == [
+        2_358_079, 2_208_471, 2_357_995,
+    ]
+    assert sorted(system.tasks) == ["hit:alice:0", "hit:alice:3", "hit:bob:2"]
