@@ -194,68 +194,6 @@ def test_batch_verification_report(
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_core_scaling_report(benchmark, vpke_batch):
-    """Batched VPKE verification across VerifierPool sizes (1/2/4/N).
-
-    ``procs=0`` is the inline pool (same dispatch path, no processes) —
-    the serial reference every pooled row is checked bit-for-bit
-    against.  On a single-core host the pooled rows only show dispatch
-    overhead; the >= 2x acceptance bar therefore only arms on machines
-    with >= 4 cores, where chunked Pippenger has real cores to use.
-    """
-    import os
-
-    from repro.parallel import VerifierPool
-
-    pk, statements = vpke_batch
-    serial, ok = best_of(
-        lambda: verify_decryption_batch(pk, statements), repeats=3
-    )
-    assert ok
-
-    cores = os.cpu_count() or 1
-    sweep = sorted({1, 2, 4, cores} if not SMOKE else {0, 1})
-    rows = [["serial (no pool)", format_seconds(serial), "1.00x", "-"]]
-    timings = {}
-    for procs in sweep:
-        with VerifierPool(procs) as pool:
-            with pool.installed():
-                # Warm the executor outside the timer: fork cost is
-                # one-time, chunk throughput is what scales.
-                assert verify_decryption_batch(pk, statements)
-                pooled, ok = best_of(
-                    lambda: verify_decryption_batch(pk, statements),
-                    repeats=3,
-                )
-            dispatched = pool.jobs_dispatched
-        assert ok
-        timings[procs] = pooled
-        rows.append(
-            ["VerifierPool(%d)" % procs, format_seconds(pooled),
-             "%.2fx" % (serial / max(pooled, 1e-9)), str(dispatched)]
-        )
-    text = render_table(
-        ["Verification path", "Wall clock", "Speedup", "Jobs"],
-        rows,
-        title="Core scaling: batched VPKE verification, batch size %d "
-        "(%d-core host)" % (BATCH_SIZE, cores),
-    )
-    emit("core_scaling_verification", text)
-    record(
-        "core_scaling_verification",
-        {"batch_size": BATCH_SIZE, "sweep": sweep},
-        dict(
-            {"serial": serial},
-            **{"pool_%d" % procs: timings[procs] for procs in timings},
-        ),
-    )
-
-    if not SMOKE and cores >= 4:
-        best = min(timings[p] for p in timings if p >= 4)
-        assert serial / max(best, 1e-9) >= SPEEDUP_BAR, timings
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
 def test_multi_task_throughput_report(benchmark):
     """Blocks and wall-clock for N tasks: sequential vs run_hits_batch."""
     import time

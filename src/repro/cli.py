@@ -217,16 +217,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 worker_policies=policies,
             )
         )
-    prover_pool = None
-    verifier_pool = None
-    if getattr(args, "prover_procs", None) is not None:
-        from repro.parallel import ProverPool
-
-        prover_pool = ProverPool(args.prover_procs)
-    if getattr(args, "verifier_procs", None) is not None:
-        from repro.parallel import VerifierPool
-
-        verifier_pool = VerifierPool(args.verifier_procs)
     store = None
     if getattr(args, "state_dir", None):
         from repro.store import NodeStore
@@ -234,7 +224,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if NodeStore.exists(args.state_dir):
             store = NodeStore.open(args.state_dir)
             chain, meta = store.load(apply_runtime=True)
-            dragoon = Dragoon(chain=chain, prover_pool=prover_pool)
+            dragoon = Dragoon(chain=chain)
             dragoon.restore_node_state(meta["extra"])
             dragoon.attach_store(store)
             _log.info(
@@ -253,23 +243,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 )
         else:
             store = NodeStore.init(args.state_dir)
-            dragoon = Dragoon(prover_pool=prover_pool)
+            dragoon = Dragoon()
             dragoon.attach_store(store)
     else:
-        dragoon = Dragoon(prover_pool=prover_pool)
-    hooks = (
-        verifier_pool.installed()
-        if verifier_pool is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with deterministic_entropy(args.seed), hooks:
-            outcomes = dragoon.serve(arrivals)
-    finally:
-        if prover_pool is not None:
-            prover_pool.close()
-        if verifier_pool is not None:
-            verifier_pool.close()
+        dragoon = Dragoon()
+    with deterministic_entropy(args.seed):
+        outcomes = dragoon.serve(arrivals)
     if store is not None:
         root = store.save(dragoon.chain, extra=dragoon.node_state())
         _log.info(
@@ -327,18 +306,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim import SCENARIO_PRESETS, preset, run_scenario
 
     scenario = preset(args.preset, seed=args.seed, tasks=args.tasks)
-    if args.prover_procs is not None or args.verifier_procs is not None:
-        from dataclasses import replace
-
-        scenario = replace(
-            scenario,
-            prover_procs=args.prover_procs
-            if args.prover_procs is not None
-            else scenario.prover_procs,
-            verifier_procs=args.verifier_procs
-            if args.verifier_procs is not None
-            else scenario.verifier_procs,
-        )
     store = None
     if args.state_dir:
         from repro.store import NodeStore
@@ -669,14 +636,7 @@ def _cmd_node_rpc_serve(args: argparse.Namespace) -> int:
             admin_tokens=tuple(args.admin_token),
             submit_tokens=tuple(args.submit_token),
         )
-    verifier_pool = None
-    if args.verifier_procs is not None:
-        from repro.parallel import VerifierPool
-
-        verifier_pool = VerifierPool(args.verifier_procs)
-    node = RpcNode(
-        chain=chain, store=store, auth=auth, verifier_pool=verifier_pool
-    )
+    node = RpcNode(chain=chain, store=store, auth=auth)
 
     def _announce(server) -> None:
         _log.info(
@@ -699,8 +659,6 @@ def _cmd_node_rpc_serve(args: argparse.Namespace) -> int:
         # The server stops accepting and releases the socket here — the
         # snapshot below must be the last word on this state dir.
         server.shutdown()
-        if verifier_pool is not None:
-            verifier_pool.close()
         root = store.save(chain)
         _log.info(
             "node state saved to %s (height %d, state_root %s...)"
@@ -974,14 +932,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the node here: an existing state dir "
                        "is resumed (the marketplace lives across "
                        "invocations), a fresh one is initialized")
-    serve.add_argument("--prover-procs", type=int, default=None, metavar="N",
-                       help="dispatch proving (answer encryption, proofs) "
-                       "to N pool processes; 0 runs the pool path inline "
-                       "(default: no pool, legacy serial path)")
-    serve.add_argument("--verifier-procs", type=int, default=None,
-                       metavar="N",
-                       help="chunk batched verification (MSM, pairings) "
-                       "across N pool processes (default: no pool)")
     serve.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write a MetricsRegistry snapshot (canonical "
                        "JSON) after the run; fold with `report metrics`")
@@ -1012,15 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="write a resumable checkpoint every N blocks "
                           "(requires --state-dir; resume with `node resume`)")
-    simulate.add_argument("--prover-procs", type=int, default=None,
-                          metavar="N",
-                          help="run the scenario with an N-process prover "
-                          "pool (0 = pool path inline; same bytes for any "
-                          "N, see repro.parallel)")
-    simulate.add_argument("--verifier-procs", type=int, default=None,
-                          metavar="N",
-                          help="run the scenario with an N-process verifier "
-                          "pool chunking batched MSM/pairing checks")
     simulate.add_argument("--metrics-out", default=None, metavar="FILE",
                           help="write a MetricsRegistry snapshot (canonical "
                           "JSON) after the run; fold with `report metrics`")
@@ -1215,11 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="TOKEN",
                           help="auth token for submission methods (tx_*, "
                           "swarm_put); repeatable")
-    node_rpc.add_argument("--verifier-procs", type=int, default=None,
-                          metavar="N",
-                          help="verify batched proofs through an N-process "
-                          "pool during mutating dispatches; node_status "
-                          "then reports per-worker cache stats")
     add_logging_flags(node_rpc)
     node_rpc.set_defaults(func=_cmd_node_rpc_serve)
     return parser
@@ -1233,7 +1169,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         json_mode=getattr(args, "log_json", False),
     )
     # --trace scopes a JSONL span tracer to the whole command: every
-    # block mine, session phase, pool job, and RPC dispatch inside lands
+    # block mine, session phase, and RPC dispatch inside lands
     # in the file; the run's outputs stay byte-identical either way.
     tracing = (
         trace_to(args.trace)

@@ -42,18 +42,6 @@ class EvaluationAction:
     transaction: Optional[Transaction] = None
 
 
-class _ImmediateResult:
-    """A pre-computed value behind the pool-job ``result()`` interface."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value) -> None:
-        self._value = value
-
-    def result(self):
-        return self._value
-
-
 class RequesterClient:
     """An honest requester; adversarial variants subclass the hooks."""
 
@@ -65,15 +53,11 @@ class RequesterClient:
         swarm: SwarmStore,
         balance: Optional[int] = None,
         secret: Optional[int] = None,
-        prover_pool=None,
     ) -> None:
         self.label = label
         self.task = task
         self.chain = chain
         self.swarm = swarm
-        #: Optional :class:`repro.parallel.ProverPool`; when set, PoQoEA
-        #: and VPKE proof generation run as pool jobs.
-        self.prover_pool = prover_pool
         budget = task.parameters.budget
         self.address = chain.register_account(
             label, budget if balance is None else balance
@@ -218,14 +202,9 @@ class RequesterClient:
         actions: List[EvaluationAction] = []
         batch: List[Tuple[Address, int, QualityProof, Dict[int, bytes]]] = []
         batch_payload = b""
-        batch_actions: List[EvaluationAction] = []
-        # Classify everything first, dispatching each rejection's PoQoEA
-        # proof as it is found — with a prover pool the proofs for many
-        # rejected workers generate concurrently while classification
-        # (decryption) continues; without one each job runs inline at
-        # collection.  Transaction order is unchanged either way:
-        # outrange disputes during the scan, one batch at the end.
-        pending: List[Tuple[Address, bytes, EvaluationAction, object]] = []
+        # Outrange disputes go out during the scan; each quality
+        # rejection is proved where the scan finds it and rides the one
+        # batch sent at the end.
         for worker, ciphertext_bytes in sorted(
             self.collect_submissions().items(), key=lambda item: item[0].hex()
         ):
@@ -245,21 +224,16 @@ class RequesterClient:
                 actions.append(EvaluationAction(worker, "accept", quality, None))
                 continue
 
-            action = EvaluationAction(worker, "reject-quality", quality, None)
-            pending.append(
-                (worker, ciphertext_bytes, action,
-                 self.submit_quality_proof(ciphertexts))
-            )
-            actions.append(action)
-
-        for worker, ciphertext_bytes, action, job in pending:
-            proved_quality, proof = job.result()
-            gold_chunks, payload = self._rejection_packaging(
-                worker, proved_quality, proof, ciphertext_bytes
+            proved_quality, proof, gold_chunks, payload = (
+                self._quality_rejection_material(
+                    worker, ciphertexts, ciphertext_bytes
+                )
             )
             batch.append((worker, proved_quality, proof, gold_chunks))
             batch_payload += payload
-            batch_actions.append(action)
+            actions.append(
+                EvaluationAction(worker, "reject-quality", quality, None)
+            )
 
         if batch:
             transaction = self.chain.send(
@@ -269,8 +243,9 @@ class RequesterClient:
                 args=(batch,),
                 payload=batch_payload,
             )
-            for action in batch_actions:
-                action.transaction = transaction
+            for action in actions:
+                if action.kind == "reject-quality":
+                    action.transaction = transaction
         return actions
 
     def _classify_submission(
@@ -299,19 +274,6 @@ class RequesterClient:
     ) -> Tuple[int, QualityProof, Dict[int, bytes], bytes]:
         """The proof, gold-position chunks, and payload of one rejection."""
         quality, proof = self.make_quality_proof(ciphertexts)
-        gold_chunks, payload = self._rejection_packaging(
-            worker, quality, proof, full_vector
-        )
-        return quality, proof, gold_chunks, payload
-
-    def _rejection_packaging(
-        self,
-        worker: Address,
-        quality: int,
-        proof: QualityProof,
-        full_vector: bytes,
-    ) -> Tuple[Dict[int, bytes], bytes]:
-        """The gold-position chunks and payload of one proved rejection."""
         gold_chunks = {
             entry.index: full_vector[
                 entry.index * CIPHERTEXT_BYTES
@@ -322,7 +284,7 @@ class RequesterClient:
         payload = worker.value + int_to_bytes(quality, 4) + proof.to_bytes()
         for chunk in gold_chunks.values():
             payload += chunk
-        return gold_chunks, payload
+        return quality, proof, gold_chunks, payload
 
     def _evaluate_one(
         self, worker: Address, ciphertext_bytes: bytes
@@ -352,15 +314,9 @@ class RequesterClient:
         ciphertext: Ciphertext,
         full_vector: bytes,
     ) -> Transaction:
-        if self.prover_pool is not None:
-            claim, proof = self.prover_pool.prove_decryption(
-                self.secret_key, ciphertext,
-                list(self.task.parameters.answer_range),
-            )
-        else:
-            claim, proof = prove_decryption(
-                self.secret_key, ciphertext, self.task.parameters.answer_range
-            )
+        claim, proof = prove_decryption(
+            self.secret_key, ciphertext, self.task.parameters.answer_range
+        )
         chunk = full_vector[index * CIPHERTEXT_BYTES : (index + 1) * CIPHERTEXT_BYTES]
         payload = (
             worker.value
@@ -398,14 +354,6 @@ class RequesterClient:
         self, ciphertexts: Sequence[Ciphertext]
     ) -> Tuple[int, QualityProof]:
         """Produce the PoQoEA proof for one submission (hook for attacks)."""
-        if self.prover_pool is not None:
-            return self.prover_pool.prove_quality(
-                self.secret_key,
-                list(ciphertexts),
-                self.task.gold_indexes,
-                self.task.gold_answers,
-                list(self.task.parameters.answer_range),
-            )
         return prove_quality(
             self.secret_key,
             list(ciphertexts),
@@ -413,28 +361,6 @@ class RequesterClient:
             self.task.gold_answers,
             list(self.task.parameters.answer_range),
         )
-
-    def submit_quality_proof(self, ciphertexts: Sequence[Ciphertext]):
-        """Dispatch one PoQoEA proof; returns an object with ``result()``.
-
-        With a prover pool (and the stock :meth:`make_quality_proof`)
-        the proof generates in a worker process.  Adversarial
-        subclasses that override :meth:`make_quality_proof` keep their
-        behaviour: the override runs inline and is wrapped in an
-        immediate result.
-        """
-        if (
-            self.prover_pool is not None
-            and type(self).make_quality_proof is RequesterClient.make_quality_proof
-        ):
-            return self.prover_pool.submit_prove_quality(
-                self.secret_key,
-                list(ciphertexts),
-                self.task.gold_indexes,
-                self.task.gold_answers,
-                list(self.task.parameters.answer_range),
-            )
-        return _ImmediateResult(self.make_quality_proof(ciphertexts))
 
     def send_finalize(self) -> Transaction:
         """Poke the contract to settle (anyone may; usually the requester)."""

@@ -190,20 +190,12 @@ class HITSession:
         swarm: SwarmStore,
         requester: RequesterClient,
         config: Optional[SessionConfig] = None,
-        prover_pool=None,
     ) -> None:
         if requester.contract_name is None:
             raise ProtocolError("session requires a published task")
         self.chain = chain
         self.swarm = swarm
         self.requester = requester
-        #: Optional :class:`repro.parallel.ProverPool` (usually handed
-        #: down by the engine): commit-step encryption is dispatched as
-        #: pool jobs and collected at the engine's drain point, so many
-        #: sessions' proving overlaps instead of serializing.
-        self.prover_pool = prover_pool
-        #: Async commit jobs awaiting collection: (worker, job).
-        self._pending_async: List[Tuple[WorkerClient, object]] = []
         self.contract_name: str = requester.contract_name
         self.contract_address = chain.contract(self.contract_name).address
         self.config = config or SessionConfig()
@@ -248,8 +240,6 @@ class HITSession:
         """
         if worker.discovered is None:
             worker.discover(self.contract_name)
-        if self.prover_pool is not None and worker.prover_pool is None:
-            worker.prover_pool = self.prover_pool
         self.workers.append(worker)
         if policy is not None:
             self._policies[worker.label] = policy
@@ -338,28 +328,9 @@ class HITSession:
             return
         submit = worker.send_commit if step == "commit" else worker.send_reveal
         if due <= period:
-            if step == "commit" and self.prover_pool is not None:
-                # Async handoff: dispatch the encryption now, send the
-                # commitment at the engine's drain point (before the
-                # next block is mined, so it lands in the same block a
-                # synchronous send would).  Meanwhile other sessions'
-                # jobs run on the remaining pool workers.
-                self._pending_async.append((worker, worker.begin_commit()))
-            else:
-                submit()
+            submit()
         else:
             self._deferred.append((due, worker.label, step, submit))
-
-    def drain_async_steps(self) -> None:
-        """Collect dispatched proving jobs and send their transactions.
-
-        Called by the engine right before it mines the next block;
-        collection order is dispatch order, so the mempool sequence is
-        independent of how many pool processes raced the jobs.
-        """
-        pending, self._pending_async = self._pending_async, []
-        for worker, job in pending:
-            worker.finish_commit(job)
 
     def _run_deferred(self, period: int) -> None:
         still_waiting = []
@@ -537,16 +508,11 @@ class SessionEngine:
         chain: Optional[Chain] = None,
         swarm: Optional[SwarmStore] = None,
         scheduler: Optional[Scheduler] = None,
-        prover_pool=None,
     ) -> None:
         if chain is not None and scheduler is not None:
             raise ProtocolError("pass a scheduler or a chain, not both")
         self.chain = chain if chain is not None else Chain(scheduler=scheduler)
         self.swarm = swarm if swarm is not None else SwarmStore()
-        #: Optional :class:`repro.parallel.ProverPool`, handed to every
-        #: registered session (and through it to clients): proof
-        #: generation then pipelines against block mining.
-        self.prover_pool = prover_pool
         self.sessions: List[HITSession] = []
         self._by_address: Dict[Address, HITSession] = {}
         self.trace: List[BlockTrace] = []
@@ -577,15 +543,7 @@ class SessionEngine:
         config: Optional[SessionConfig] = None,
     ) -> HITSession:
         """Adopt an already-published task (e.g. from a batched deploy)."""
-        if self.prover_pool is not None and requester.prover_pool is None:
-            requester.prover_pool = self.prover_pool
-        session = HITSession(
-            self.chain,
-            self.swarm,
-            requester,
-            config=config,
-            prover_pool=self.prover_pool,
-        )
+        session = HITSession(self.chain, self.swarm, requester, config=config)
         self.sessions.append(session)
         self._by_address[session.contract_address] = session
         return session
@@ -598,13 +556,6 @@ class SessionEngine:
         """Mine one block and deliver its events to the sessions."""
         started = span_clock()
         with trace_span("engine.step", sessions=len(self.sessions)) as span:
-            # Collect the proving jobs dispatched while the previous
-            # block's events were delivered — their transactions enter
-            # the mempool now, in dispatch order, and ride the block
-            # mined right after (the same one a synchronous submission
-            # would have ridden).
-            for session in self.sessions:
-                session.drain_async_steps()
             block = self.chain.mine_block()
             period = self.chain.clock.period
             routed: Dict[Address, List[EventRecord]] = {}

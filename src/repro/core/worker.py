@@ -55,7 +55,6 @@ class WorkerClient:
         swarm: SwarmStore,
         answers: Optional[Sequence[int]] = None,
         answer_strategy: Optional[Callable[[DiscoveredTask], List[int]]] = None,
-        prover_pool=None,
     ) -> None:
         self.label = label
         self.chain = chain
@@ -63,9 +62,6 @@ class WorkerClient:
         self.address = chain.register_account(label, 0)
         self._fixed_answers = list(answers) if answers is not None else None
         self._strategy = answer_strategy
-        #: Optional :class:`repro.parallel.ProverPool`; when set, answer
-        #: encryption runs as a pool job under a derived per-job seed.
-        self.prover_pool = prover_pool
         self.discovered: Optional[DiscoveredTask] = None
         self.ciphertext_bytes: Optional[bytes] = None
         self.blinding_key: Optional[bytes] = None
@@ -129,12 +125,7 @@ class WorkerClient:
     def encrypt_answers(self, answers: Sequence[int]) -> bytes:
         """Encrypt the answer vector to the requester's key; returns bytes."""
         assert self.discovered is not None
-        if self.prover_pool is not None:
-            ciphertexts = self.prover_pool.encrypt_vector(
-                self.discovered.public_key, list(answers)
-            )
-        else:
-            ciphertexts = self.discovered.public_key.encrypt_vector(list(answers))
+        ciphertexts = self.discovered.public_key.encrypt_vector(list(answers))
         return b"".join(c.to_bytes() for c in ciphertexts)
 
     # ------------------------------------------------------------------
@@ -174,31 +165,6 @@ class WorkerClient:
         """Encrypt, commit, and send the commitment on-chain."""
         answers = self.produce_answers()
         self.ciphertext_bytes = self.encrypt_answers(answers)
-        commitment, self.blinding_key = make_commitment(self.ciphertext_bytes)
-        return self._send_commit_digest(commitment.digest)
-
-    def begin_commit(self):
-        """Dispatch the encryption of this worker's answers to the pool.
-
-        The async half of :meth:`send_commit`: the returned job runs in
-        a pool worker while the caller (the session engine) keeps
-        processing other sessions; :meth:`finish_commit` collects it and
-        sends the commitment transaction.  Requires ``prover_pool``.
-        """
-        if self.prover_pool is None:
-            raise ProtocolError(
-                "worker %s has no prover pool for async commits" % self.label
-            )
-        answers = self.produce_answers()
-        assert self.discovered is not None
-        return self.prover_pool.submit_encrypt_vector(
-            self.discovered.public_key, list(answers)
-        )
-
-    def finish_commit(self, job) -> Transaction:
-        """Collect a :meth:`begin_commit` job and send the commitment."""
-        ciphertexts = job.result()
-        self.ciphertext_bytes = b"".join(c.to_bytes() for c in ciphertexts)
         commitment, self.blinding_key = make_commitment(self.ciphertext_bytes)
         return self._send_commit_digest(commitment.digest)
 

@@ -381,9 +381,9 @@ def fixed_base_cache_stats() -> dict:
     """Cache effectiveness counters for this process.
 
     ``hits``/``misses`` count :func:`mul_fixed` lookups since process
-    start (or :func:`reset_fixed_base_cache_stats`).  Pool workers report
-    these through ``node_status`` so an operator can see whether the
-    initializer warm-up actually covers the hot bases.
+    start (or :func:`reset_fixed_base_cache_stats`).  The
+    ``fixed_base_cache_*`` metric families, which ``node_status`` reads,
+    sample the same counters.
     """
     return {
         "population": len(_FIXED_BASE_CACHE),
@@ -479,25 +479,6 @@ def _msm_jacobian(points: Sequence[_Jacobian], scalars: Sequence[int]) -> _Jacob
     return result
 
 
-#: Optional parallel MSM backend (installed by
-#: :class:`repro.parallel.VerifierPool`).  Receives ``(points, reduced)``
-#: and returns a :class:`G1Point`, or ``None`` to fall through to the
-#: serial Pippenger pass (e.g. below its term threshold).
-_MSM_BACKEND = None
-
-
-def set_msm_backend(backend) -> None:
-    """Install (or with ``None`` remove) the parallel MSM backend.
-
-    The backend must compute exactly ``sum_i scalars[i] * points[i]`` —
-    :func:`msm` callers cannot observe which path ran.  Pool *worker*
-    processes never install one: jobs call :func:`_msm_jacobian`
-    directly, so a backend can never recurse into itself.
-    """
-    global _MSM_BACKEND
-    _MSM_BACKEND = backend
-
-
 def msm(points: Sequence["G1Point"], scalars: Sequence[int]) -> "G1Point":
     """Multi-scalar multiplication ``sum_i scalars[i] * points[i]``.
 
@@ -511,11 +492,6 @@ def msm(points: Sequence["G1Point"], scalars: Sequence[int]) -> "G1Point":
     _MSM_CALLS.inc()
     _MSM_TERMS.inc(len(points))
     reduced = [scalar % CURVE_ORDER for scalar in scalars]
-    backend = _MSM_BACKEND
-    if backend is not None:
-        result = backend(points, reduced)
-        if result is not None:
-            return result
     jacobians = [_to_jacobian(point.affine) for point in points]
     return G1Point(_from_jacobian(_msm_jacobian(jacobians, reduced)))
 

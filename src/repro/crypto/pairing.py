@@ -128,26 +128,6 @@ def pairing(q: Point, p: G1Point) -> FQ12:
     return miller_loop(twist(q), cast_g1_to_fq12(p))
 
 
-#: Optional parallel Miller-product backend (installed by
-#: :class:`repro.parallel.VerifierPool`).  Receives the validated pair
-#: list and returns the *raw* Miller product (pre final exponentiation),
-#: or ``None`` to fall through to the serial loop.
-_MILLER_BACKEND = None
-
-
-def set_miller_backend(backend) -> None:
-    """Install (or with ``None`` remove) the parallel Miller backend.
-
-    The backend computes ``prod_i miller_loop_raw(twist(Qi), Pi)``; the
-    final exponentiation always stays in the caller, so a chunked
-    evaluation costs the same single hard exponentiation the serial
-    product does.  Pool worker processes never install one — jobs call
-    :func:`miller_loop_raw` directly, so the backend cannot recurse.
-    """
-    global _MILLER_BACKEND
-    _MILLER_BACKEND = backend
-
-
 def multi_pairing(pairs: "list[tuple[G1Point, Point]]") -> FQ12:
     """The product ``prod_i e(Pi, Qi)`` as one Miller-loop product.
 
@@ -160,11 +140,6 @@ def multi_pairing(pairs: "list[tuple[G1Point, Point]]") -> FQ12:
     """
     _PAIRING_CALLS.inc()
     _PAIRING_PAIRS.inc(len(pairs))
-    backend = _MILLER_BACKEND
-    if backend is not None:
-        raw = backend(pairs)
-        if raw is not None:
-            return raw ** _FINAL_EXPONENT
     accumulator = FQ12.one()
     for g1_point, g2_point in pairs:
         if g2_point is not None:

@@ -39,7 +39,6 @@ from typing import Dict, Iterator, Optional
 
 _BLOCK_BYTES = 32
 _DOMAIN = b"dragoon-entropy:"
-_JOB_SEED_DOMAIN = b"dragoon-job-seed:"
 
 
 class DeterministicStream:
@@ -151,27 +150,6 @@ class EntropySource:
             return self._stream.take(length)
         return secrets.token_bytes(length)
 
-    def derive_job_seed(self, label: bytes = b"") -> int:
-        """A seed for a child-process DRBG, derived from this source.
-
-        A pool job cannot share the parent's stream (two processes
-        drawing from one position is a race), so each job gets its own
-        :class:`DeterministicStream` seeded here.  The derivation draws a
-        *fixed* 32 bytes from the parent — never the variable-length
-        rejection sampling of :meth:`randbelow` — so the parent's stream
-        position after dispatching N jobs is a pure function of N and the
-        labels.  That is what keeps pooled runs byte-reproducible and
-        lets ``resume_scenario`` round-trips continue the stream exactly:
-        the checkpoint stores the parent position, and every job seed is
-        re-derived identically after resume.  In OS-entropy mode the 32
-        bytes come from :mod:`secrets`, so job seeds stay unpredictable.
-        """
-        material = self.token_bytes(32)
-        digest = hashlib.sha256(
-            _JOB_SEED_DOMAIN + label + b"|" + material
-        ).digest()
-        return int.from_bytes(digest, "big")
-
     # -- persistence hooks ----------------------------------------------------
 
     def save_state(self) -> Optional[Dict[str, object]]:
@@ -194,11 +172,6 @@ class EntropySource:
 
 #: The process-wide entropy source every crypto module draws from.
 entropy = EntropySource()
-
-
-def derive_job_seed(label: bytes = b"") -> int:
-    """Derive a child-process DRBG seed from the process-wide source."""
-    return entropy.derive_job_seed(label)
 
 
 @contextmanager

@@ -115,19 +115,12 @@ class Dragoon:
         scheduler: Optional[Scheduler] = None,
         chain: Optional[Chain] = None,
         swarm: Optional[SwarmStore] = None,
-        prover_pool=None,
     ) -> None:
         if chain is not None and scheduler is not None:
             raise ProtocolError("pass a scheduler or a restored chain, not both")
         self.chain = chain if chain is not None else Chain(scheduler=scheduler)
         self.swarm = swarm if swarm is not None else SwarmStore()
-        #: Optional :class:`repro.parallel.ProverPool`; when set, every
-        #: session the engine registers pipelines proof generation
-        #: (answer encryption, VPKE/PoQoEA proving) against block mining.
-        self.prover_pool = prover_pool
-        self.engine = SessionEngine(
-            chain=self.chain, swarm=self.swarm, prover_pool=prover_pool
-        )
+        self.engine = SessionEngine(chain=self.chain, swarm=self.swarm)
         self._requester_keys: Dict[str, int] = {}
         self._task_serial = 0
         self.tasks: Dict[str, TaskHandle] = {}

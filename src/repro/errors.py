@@ -118,20 +118,6 @@ class AnswerError(ProtocolError):
 
 
 # ---------------------------------------------------------------------------
-# Parallel proving / verification pools
-# ---------------------------------------------------------------------------
-
-
-class ProofPoolError(ReproError):
-    """A proving/verification pool job failed permanently.
-
-    Raised after a crashed worker process (e.g. OOM-killed or SIGKILLed
-    mid-job) has exhausted its retry budget.  The pool rebuilds its
-    executor and retries before raising, so seeing this means the job
-    itself keeps killing workers — it never presents as a hang."""
-
-
-# ---------------------------------------------------------------------------
 # Reporting pipeline
 # ---------------------------------------------------------------------------
 

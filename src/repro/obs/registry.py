@@ -2,7 +2,7 @@
 
 Every runtime layer registers its instruments into one process-global
 :data:`REGISTRY` (chain block/gas counters, session phase histograms,
-RPC dispatch counters, pool job counters, crypto hot-path counters), and
+RPC dispatch counters, crypto hot-path counters), and
 every export surface — the Prometheus-text ``GET /metrics`` endpoint on
 both HTTP front-ends, the ``node_metrics`` RPC method, and the
 registry-backed sections of ``node_status`` — reads back from it.  One
@@ -27,8 +27,8 @@ Design constraints, in order:
 
 Callback instruments (``sampler=``) invert the read: instead of being
 pushed to, the instrument pulls its value at scrape time — how the
-fixed-base cache population and the verifier pool's shape are exported
-without those layers pushing on their hot paths.
+fixed-base cache population and hit counts are exported without the
+curve layer pushing on its hot path.
 """
 
 from __future__ import annotations
@@ -146,8 +146,7 @@ class _Instrument:
         The callback returns either a plain number (one unlabeled
         sample) or an iterable of ``(labels_dict, value)`` pairs; it is
         invoked on every scrape, replacing any pushed children.  Latest
-        registration wins — node front-ends re-bind these to the live
-        pool/cache they front.
+        registration wins.
         """
         self._sampler = sampler
 

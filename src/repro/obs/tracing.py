@@ -2,8 +2,7 @@
 
 A :class:`Tracer` writes one JSON object per finished span to a sink
 file — the trace of where the time went: block mining, session phase
-transitions, proof jobs (submit → dispatch → complete across the pool
-process boundary), and RPC dispatch.  ``--trace FILE`` on the CLI's
+transitions, and RPC dispatch.  ``--trace FILE`` on the CLI's
 ``serve`` / ``simulate`` / ``node rpc-serve`` installs one for the run.
 
 Determinism contract
@@ -23,11 +22,11 @@ Trace-file schema (one object per line)::
      "start": 1.0231, "end": 1.0288, "attrs": {"block": 4, "txs": 2}}
 
 ``start``/``end`` are :func:`span_clock` seconds in the *emitting
-process's* clock domain.  Spans shipped back from pool worker processes
-carry ``"clock": "worker"`` and a ``"pid"`` attr: their timestamps are
-the worker's own monotonic clock (not comparable to the parent's), but
-their parent/child linkage is exact — the submit-side span is their
-``parent``.
+process's* clock domain.  A span measured in another process and
+written with :meth:`Tracer.emit` carries ``"clock": "worker"`` and a
+``"pid"`` attr: its timestamps are that process's own monotonic clock
+(not comparable to the parent's), but its parent/child linkage is
+exact.
 
 The tracer keeps an implicit per-thread span stack, so nested
 instrumentation points (an engine step containing a block mine
@@ -162,8 +161,8 @@ class Tracer:
     """A JSONL span emitter over one sink file.
 
     ``sink`` is any text-mode file-like object; writes are serialized
-    under a lock (spans are emitted from RPC dispatch threads, the
-    engine thread, and pool-collection paths alike).  Span ids are
+    under a lock (spans are emitted from RPC dispatch threads and the
+    engine thread alike).  Span ids are
     monotonically increasing ints — unique per tracer, assigned at span
     creation, never drawn from entropy.
     """
@@ -212,7 +211,7 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
         **extra: Any,
     ) -> int:
-        """Emit a pre-measured span (e.g. shipped back from a worker)."""
+        """Emit a pre-measured span (e.g. one timed in another process)."""
         span_id = self._next_id()
         record: Dict[str, Any] = {
             "v": SPAN_SCHEMA_VERSION,

@@ -41,9 +41,9 @@ actually executed, so an interrupted cell's record notes the resume).
 Completed cells (their record already on disk, manifest hash matching)
 are skipped entirely.
 
-Fan-out follows the :mod:`repro.parallel` convention: ``procs=0`` runs
-cells inline (the reference path), ``procs=N`` fans cells across a
-process pool — cell *records* are identical either way.
+Fan-out: ``procs=0`` runs cells inline (the reference path),
+``procs=N`` fans independent cells across a process pool — cell
+*records* are identical either way.
 """
 
 from __future__ import annotations
@@ -90,8 +90,8 @@ SWEEP_AXES = (
 
 #: Metric families whose counts are invariants of the *scenario* (not of
 #: the executing process): safe for byte-diffed artifacts.  Crypto-cache
-#: and pool families depend on process lifetime and host shape, so they
-#: stay in the full (work-dir) fold, never in the record.
+#: families depend on process lifetime and host shape, so they stay in
+#: the full (work-dir) fold, never in the record.
 CELL_METRIC_PREFIXES = ("chain_", "engine_", "session_", "sim_")
 
 

@@ -18,8 +18,9 @@ loudly.
   from the longest root span, repeatedly descend into the longest
   child — the chain of spans that bounded the run's wall clock;
 * **pool-utilization timelines**: a sweep line over ``pool.job`` spans
-  giving peak and average in-flight jobs while the pool was busy;
-* **cross-process attribution**: spans shipped home from pool workers
+  (which older traces, written while proving had a process pool,
+  still carry) giving peak and average in-flight jobs while it was busy;
+* **cross-process attribution**: spans measured in another process
   carry ``"clock": "worker"`` and a ``pid`` attr — their timestamps
   live in the *worker's* clock domain, so they are aggregated per pid
   (and never mixed into parent-clock timelines).  A worker span whose

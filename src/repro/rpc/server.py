@@ -74,10 +74,6 @@ from repro.store.blockstore import StoreError
 from repro.rpc import wire
 from repro.rpc.wire import WireError
 
-# Imported for its pool_* families, so a node's scrape surface does not
-# depend on whether anything in the process has loaded a pool yet.
-import repro.parallel.metrics  # noqa: F401
-
 _RPC_REQUESTS = _obs.REGISTRY.counter(
     "rpc_requests_total",
     "Successfully dispatched RPC requests, by method",
@@ -103,37 +99,6 @@ _RPC_LISTENER_ERRORS = _obs.REGISTRY.counter(
 
 _log = get_logger("rpc")
 
-
-def _bind_verifier_pool_gauges(pool) -> None:
-    """Point the pool-shape gauges at the live pool a node fronts.
-
-    Samplers pull at scrape time, so ``node_metrics`` and ``/metrics``
-    report the same pool ``node_status`` describes — one source of
-    truth, re-bound if a newer node wraps a newer pool.  With no pool
-    (``None``) the families still exist and read zero, so the scrape
-    surface is stable across node configurations.
-    """
-    _obs.REGISTRY.gauge(
-        "verifier_pool_procs",
-        "Worker processes configured on the node's verifier pool",
-    ).set_sampler(lambda: pool.procs if pool is not None else 0)
-    _obs.REGISTRY.gauge(
-        "verifier_pool_alive",
-        "Whether the node's verifier pool has a live executor (0/1)",
-    ).set_sampler(
-        lambda: 1 if pool is not None and pool._executor is not None else 0
-    )
-    _obs.REGISTRY.gauge(
-        "verifier_pool_jobs_dispatched",
-        "Jobs the node's verifier pool has dispatched over its lifetime",
-    ).set_sampler(lambda: pool.jobs_dispatched if pool is not None else 0)
-    _obs.REGISTRY.gauge(
-        "verifier_pool_retries",
-        "Jobs the node's verifier pool re-ran after a worker death",
-    ).set_sampler(lambda: pool.retries if pool is not None else 0)
-
-
-_bind_verifier_pool_gauges(None)
 
 #: Default request-size cap; oversized bodies are rejected before parse.
 MAX_REQUEST_BYTES = 2 * 1024 * 1024
@@ -360,22 +325,12 @@ class RpcNode:
         store=None,
         max_request_bytes: int = MAX_REQUEST_BYTES,
         auth: Optional[RpcAuth] = None,
-        verifier_pool=None,
     ) -> None:
         self.chain = chain if chain is not None else Chain()
         self.swarm = swarm if swarm is not None else SwarmStore()
         self.store = store
         self.max_request_bytes = max_request_bytes
         self.auth = auth
-        #: Optional :class:`repro.parallel.VerifierPool`.  Mutating
-        #: dispatches install its MSM/Miller backends for their duration,
-        #: so the batched proof checks inside transaction execution
-        #: (``chain_mine`` running ``evaluate_batch``) fan out across the
-        #: pool's worker processes while the write lock is held by this
-        #: one dispatching thread — the lock serializes state mutation,
-        #: not the cryptography.  Reads never install hooks.
-        self.verifier_pool = verifier_pool
-        _bind_verifier_pool_gauges(verifier_pool)
         self._served = _AtomicCounter()
         self._rejected = _AtomicCounter()
         self._lock = _RWLock()
@@ -552,16 +507,7 @@ class RpcNode:
         try:
             with trace_span("rpc.dispatch", method=method):
                 with lock:
-                    if is_read or self.verifier_pool is None:
-                        result = handler(params)
-                    else:
-                        # One writer at a time (the write lock guarantees
-                        # it), so scoping the process-wide backend hooks
-                        # to the dispatch is race-free — and keeps them
-                        # out of any other in-process user of the crypto
-                        # layer.
-                        with self.verifier_pool.installed():
-                            result = handler(params)
+                    result = handler(params)
             if not is_read:
                 self._notify_write()
         except _BadParams as exc:
@@ -618,7 +564,7 @@ class RpcNode:
         # under the node lock, which a routine status probe must not
         # cost.  `chain_state_root` is the explicit, priced request.
         chain = self.chain
-        status = {
+        return {
             "state_dir": self.store.state_dir if self.store else None,
             "height": chain.height,
             "period": chain.clock.period,
@@ -647,13 +593,6 @@ class RpcNode:
                 ),
             },
         }
-        if self.verifier_pool is not None:
-            # Pool shape and per-worker cache stats: the probe jobs run
-            # on the pool's own processes, not under this node's lock
-            # discipline, and warm the workers as a side effect.
-            status["verifier_pool"] = self.verifier_pool.status()
-            status["worker_caches"] = self.verifier_pool.worker_cache_info()
-        return status
 
     def _node_metrics(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Every registered metric family as plain data.

@@ -37,7 +37,6 @@ preset scenario.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
@@ -47,7 +46,6 @@ from repro.core.session import HITSession
 from repro.crypto.rng import deterministic_entropy
 from repro.dragoon import Dragoon
 from repro.errors import ProtocolError
-from repro.parallel import ProverPool, VerifierPool
 from repro.sim.arrivals import ArrivalProcess, ClosedLoopArrivals
 from repro.sim.metrics import MetricsCollector
 from repro.sim.population import WorkerPopulation
@@ -180,11 +178,6 @@ class _Continuation:
     events_pruned: int
     step: int
     checkpoint_every: int
-    #: The scenario's verification pool (``None`` = serial).  Travels
-    #: with the continuation so a resumed run re-installs the same
-    #: hooks; only the pool's configuration pickles (the executor is
-    #: rebuilt lazily after restore).
-    verifier_pool: Optional[VerifierPool] = None
 
 
 def run_scenario(
@@ -207,17 +200,7 @@ def run_scenario(
     if (checkpoint_every or interrupt_after is not None) and store is None:
         raise ProtocolError("checkpointing needs a NodeStore (pass store=...)")
     with scoped_tx_nonces(), deterministic_entropy(scenario.seed):
-        prover_pool = (
-            ProverPool(scenario.prover_procs)
-            if scenario.prover_procs is not None
-            else None
-        )
-        verifier_pool = (
-            VerifierPool(scenario.verifier_procs)
-            if scenario.verifier_procs is not None
-            else None
-        )
-        dragoon = Dragoon(prover_pool=prover_pool)
+        dragoon = Dragoon()
         if store is not None:
             dragoon.attach_store(store)
         continuation = _Continuation(
@@ -234,7 +217,6 @@ def run_scenario(
             events_pruned=0,
             step=0,
             checkpoint_every=checkpoint_every,
-            verifier_pool=verifier_pool,
         )
         run = _loop(continuation, store, interrupt_after)
     if isinstance(run, InterruptedRun):
@@ -294,56 +276,17 @@ def _checkpoint(store, continuation: _Continuation) -> None:
 def _loop(
     continuation: _Continuation, store, interrupt_after: Optional[int]
 ) -> Union[SimulationRun, InterruptedRun]:
-    """Advance the marketplace one block at a time until quiescence.
-
-    Checkpointing sits between the block advance and the quiescence
-    check, so a resumed continuation re-enters exactly where the
-    original would have continued — and writing a checkpoint never
-    consumes entropy or nonces, which is what keeps a checkpointed
-    run's trajectory identical to an unobserved one.
-    """
-    state = continuation
-    scenario = state.scenario
-    dragoon = state.dragoon
-    engine = dragoon.engine
-    process = state.process
-    population = state.population
-    collector = state.collector
-    sessions = state.sessions
-    # getattr: continuations checkpointed before pools existed restore
-    # without the field and must keep resuming on the serial path.
-    verifier_pool = getattr(state, "verifier_pool", None)
-
-    hooks = (
-        verifier_pool.installed()
-        if verifier_pool is not None
-        else contextlib.nullcontext()
-    )
-    try:
-        with hooks:
-            run = _loop_body(state, store, interrupt_after)
-    finally:
-        # Drop the pools' child processes at every exit (quiescence,
-        # interrupt, stall): the configuration survives, and any later
-        # use — a resumed continuation, a kept-objects test — rebuilds
-        # an executor lazily.
-        if verifier_pool is not None:
-            verifier_pool.close()
-        if getattr(dragoon, "prover_pool", None) is not None:
-            dragoon.prover_pool.close()
-    return run
-
-
-def _loop_body(
-    continuation: _Continuation, store, interrupt_after: Optional[int]
-) -> Union[SimulationRun, InterruptedRun]:
     """The marketplace loop, kept apart from ``SessionEngine.serve``.
 
     It admits through the same :meth:`Dragoon.admit` and stops on the
     same quiescence rule, but population observation and enrollment,
     metrics sampling, event-log pruning and checkpoints sit between
     admission and each engine step — work a bare service loop has no
-    place for.
+    place for.  Checkpointing sits between the block advance and the
+    quiescence check, so a resumed continuation re-enters exactly where
+    the original would have continued — and writing a checkpoint never
+    consumes entropy or nonces, which is what keeps a checkpointed
+    run's trajectory identical to an unobserved one.
     """
     state = continuation
     scenario = state.scenario

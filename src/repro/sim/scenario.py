@@ -52,12 +52,6 @@ class Scenario:
     prune_every: int = 64
     #: Hard stop for the runner loop (quiescence normally ends it).
     max_blocks: int = 4096
-    #: Pool sizes for :mod:`repro.parallel`.  ``None`` keeps the legacy
-    #: serial path (no pools at all); ``0`` dispatches through a pool
-    #: that runs jobs inline — the reference point the determinism tests
-    #: pin ``1``/``2``/``4`` against, byte-for-byte.
-    prover_procs: Optional[int] = None
-    verifier_procs: Optional[int] = None
 
     def expected_tasks(self) -> int:
         """How many tasks the arrival spec will issue in total."""

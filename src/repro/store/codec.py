@@ -584,7 +584,7 @@ def state_root(chain: Chain) -> bytes:
     Through schema v1 this was ``keccak256(encode_chain_state(chain))``
     — correct, but it re-encoded the whole history per call.  It is now
     the incremental :mod:`repro.store.trie` root: the same pure
-    function of chain state (byte-identical across seeded, pooled, and
+    function of chain state (byte-identical across seeded and
     interrupt/resume runs), but an unchanged chain re-reads it for the
     cost of a diff scan, and every key under it is provable to a light
     client.  Imported lazily — codec is the trie's value encoder, so a

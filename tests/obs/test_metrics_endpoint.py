@@ -4,7 +4,6 @@ plus ``node_metrics``."""
 from __future__ import annotations
 
 import asyncio
-import importlib
 import json
 import os
 import subprocess
@@ -87,51 +86,35 @@ def test_metrics_endpoint_serves_prometheus_text(scraper):
     families = families_of(body)
     # The acceptance bar: ≥20 distinct families spanning every layer.
     assert len(families) >= 20
-    for prefix in ("chain_", "session_", "rpc_", "pool_", "msm_"):
+    for prefix in ("chain_", "session_", "rpc_", "msm_"):
         assert any(name.startswith(prefix) for name in families), prefix
-    # Node-bound pool gauges exist because RpcNode owns a VerifierPool.
-    assert "verifier_pool_procs" in families
 
 
-#: A fresh interpreter that imports only the node: the family names its
-#: scrape serves, and whether ``multiprocessing`` got loaded on the way.
-FRESH_NODE_FAMILIES = """
+#: A fresh interpreter that builds a node and imports the service stack
+#: above it: whether ``multiprocessing`` got loaded on the way.
+FRESH_SERVICE_STACK = """
 import json, sys
-from repro.obs.registry import render_prometheus
 from repro.rpc import RpcNode
 RpcNode()
-names = sorted(
-    line.split()[2]
-    for line in render_prometheus().splitlines()
-    if line.startswith("# TYPE ")
-)
-print(json.dumps({"families": names, "mp": "multiprocessing" in sys.modules}))
+import repro.dragoon, repro.sim.runner
+print(json.dumps({"mp": "multiprocessing" in sys.modules}))
 """
 
 
 def test_fresh_node_scrape_does_not_depend_on_import_order():
-    """The pool_* families are on a node's scrape surface even in a
-    process that never touched a pool, and importing the node does not
-    load multiprocessing to get them there."""
+    """Building a node and importing the facade and the simulation
+    runner above it never loads multiprocessing: proving and
+    verification run in the calling process."""
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     )
     result = subprocess.run(
-        [sys.executable, "-c", FRESH_NODE_FAMILIES],
+        [sys.executable, "-c", FRESH_SERVICE_STACK],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    fresh = json.loads(result.stdout)
-    assert not fresh["mp"]
-    importlib.import_module("repro.parallel.pool")  # loaded in this process
-    pool_families = {
-        family.name
-        for family in REGISTRY.families()
-        if family.name.startswith("pool_")
-    }
-    assert pool_families
-    assert pool_families <= set(fresh["families"])
+    assert not json.loads(result.stdout)["mp"]
 
 
 def test_metrics_endpoint_is_auth_exempt(scraper):

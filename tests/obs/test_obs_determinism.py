@@ -3,14 +3,11 @@
 Tracing and metrics only *observe*: a seeded scenario run with a tracer
 installed and the registry scraped mid-flight is byte-identical —
 receipts, gas, ``state_root``, report JSON — to the same scenario run
-dark.  This holds for in-process runs, pooled runs (where worker spans
-cross the process boundary inside the job envelope), and
-checkpoint/resume round trips.
+dark.  This holds for whole runs and for checkpoint/resume round trips.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from repro.obs.registry import REGISTRY, render_prometheus
@@ -55,15 +52,6 @@ def test_trace_file_is_valid_jsonl_of_known_span_names(tmp_path):
         names.add(record["name"])
     # The three layers the runner exercises all show up in one file.
     assert {"engine.step", "chain.mine_block", "session.phase"} <= names
-
-
-def test_pooled_run_traced_matches_pooled_run_dark(tmp_path):
-    scenario = dataclasses.replace(poisson(tasks=2), verifier_procs=1)
-    baseline_json, baseline_root = run_fingerprint(scenario)
-    with trace_to(str(tmp_path / "pooled.jsonl")):
-        traced_json, traced_root = run_fingerprint(scenario)
-    assert traced_json == baseline_json
-    assert traced_root == baseline_root
 
 
 def test_checkpoint_resume_round_trip_under_tracing(tmp_path):

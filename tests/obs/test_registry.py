@@ -191,7 +191,6 @@ def test_global_registry_renders_parseable_text():
     import repro.chain.chain  # noqa: F401
     import repro.core.session  # noqa: F401
     import repro.crypto.curve  # noqa: F401
-    import repro.parallel.pool  # noqa: F401
     import repro.rpc.server  # noqa: F401
 
     from repro.obs.registry import REGISTRY

@@ -1,13 +1,10 @@
-"""Span tracer contract: JSONL schema, parent linkage, pool boundary."""
+"""Span tracer contract: JSONL schema, parent linkage, installation."""
 
 from __future__ import annotations
 
 import io
 import json
-import os
 
-from repro.crypto.elgamal import keygen
-from repro.crypto.rng import deterministic_entropy
 from repro.obs.tracing import (
     SPAN_SCHEMA_VERSION,
     NullTracer,
@@ -15,8 +12,6 @@ from repro.obs.tracing import (
     get_tracer,
     trace_to,
 )
-from repro.parallel.pool import ProverPool
-from repro.store import codec
 
 RECORD_KEYS = {"v", "span", "parent", "name", "start", "end", "attrs"}
 
@@ -139,50 +134,3 @@ def test_trace_to_installs_writes_and_restores(tmp_path):
     assert get_tracer() is before
     (record,) = [json.loads(l) for l in path.read_text().splitlines()]
     assert record["name"] == "only"
-
-
-# ---------------------------------------------------------------------------
-# The process boundary: worker spans ship home through the pool
-# ---------------------------------------------------------------------------
-
-
-def test_worker_spans_cross_the_pool_boundary(tmp_path):
-    path = tmp_path / "pool-trace.jsonl"
-    public_key, _secret = keygen(secret=0xBEEF)
-    with trace_to(str(path)):
-        with deterministic_entropy(99):
-            with ProverPool(1) as pool:
-                job = pool.submit_encrypt_vector(public_key, [0, 1, 1])
-                traced_result = job.result()
-    spans = [json.loads(l) for l in path.read_text().splitlines()]
-    (submit,) = [s for s in spans if s["name"] == "pool.job"]
-    (worker,) = [s for s in spans if s["name"] == "pool.job.worker"]
-    assert submit["attrs"]["fn"] == "job_encrypt_vector"
-    assert submit["attrs"]["kind"] == "prover"
-    # Linkage is exact even though the clocks are different domains.
-    assert worker["parent"] == submit["span"]
-    assert worker["clock"] == "worker"
-    assert worker["attrs"]["fn"] == "job_encrypt_vector"
-    assert worker["attrs"]["pid"] != os.getpid()
-
-    # Tracing never changes job results: the same seeded dispatch
-    # untraced produces byte-identical ciphertexts.
-    with deterministic_entropy(99):
-        with ProverPool(1) as pool:
-            plain_result = pool.submit_encrypt_vector(
-                public_key, [0, 1, 1]
-            ).result()
-    assert codec.encode(plain_result) == codec.encode(traced_result)
-
-
-def test_inline_pool_jobs_trace_without_an_envelope(tmp_path):
-    path = tmp_path / "inline-trace.jsonl"
-    public_key, _secret = keygen(secret=0xBEEF)
-    with trace_to(str(path)):
-        with deterministic_entropy(99):
-            with ProverPool(0) as pool:  # procs=0: runs in-process
-                pool.submit_encrypt_vector(public_key, [0, 1]).result()
-    spans = [json.loads(l) for l in path.read_text().splitlines()]
-    inline = [s for s in spans if s["name"] == "pool.job"]
-    assert inline and all(s["attrs"].get("inline") for s in inline)
-    assert not [s for s in spans if s["name"] == "pool.job.worker"]

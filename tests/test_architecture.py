@@ -30,7 +30,6 @@ LOWER = (
     "repro.core",
     "repro.store",
     "repro.rpc",
-    "repro.parallel",
     "repro.lightclient",
 )
 UPPER = ("repro.dragoon", "repro.sim", "repro.reporting", "repro.cli")

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import curve
 from repro.crypto.curve import (
     CURVE_ORDER,
     G1Point,
@@ -187,3 +188,15 @@ def test_validate_scalar():
 
 def test_generator_constant_matches():
     assert GENERATOR == G1Point.generator()
+
+
+def test_parent_cache_stats_count_hits_and_misses():
+    curve.reset_fixed_base_cache_stats()
+    base = G * 0x51A7
+    assert base.mul_fixed(3) == base * 3  # first use: miss (table built)
+    assert base.mul_fixed(5) == base * 5  # second use: hit
+    stats = curve.fixed_base_cache_stats()
+    assert stats["misses"] >= 1
+    assert stats["hits"] >= 1
+    assert stats["population"] >= 1
+    assert stats["limit"] >= 1

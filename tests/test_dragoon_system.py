@@ -168,3 +168,66 @@ def test_facade_path_is_byte_identical():
         2_358_079, 2_208_471, 2_357_995,
     ]
     assert sorted(system.tasks) == ["hit:alice:0", "hit:alice:3", "hit:bob:2"]
+
+
+# The batched evaluation path under Dragoon.serve, recorded while proving
+# still had a pooled variant: the one serial path must replay it exactly.
+SERVE_BATCHED_ROOT = (
+    "c7eb65a7437688a91b6046d9dcff6e0ac97b04a0990f2eed808aedc66ca472ad"
+)
+SERVE_BATCHED_GAS = 8_455_792
+SERVE_BATCHED_SCHEDULE = [
+    [("alice", "__deploy__"), ("bob", "__deploy__")],
+    [("hit:alice:0/worker-%d" % i, "commit") for i in range(4)]
+    + [("hit:bob:1/worker-%d" % i, "commit") for i in range(2)],
+    [("alice", "__deploy__")],
+    [("hit:alice:0/worker-%d" % i, "reveal") for i in range(4)]
+    + [("hit:bob:1/worker-%d" % i, "reveal") for i in range(2)]
+    + [("hit:alice:2/worker-%d" % i, "commit") for i in range(3)],
+    [("alice", "golden"), ("alice", "outrange"), ("alice", "evaluate_batch"),
+     ("bob", "golden"), ("bob", "evaluate_batch")]
+    + [("hit:alice:2/worker-%d" % i, "reveal") for i in range(3)],
+    [("alice", "finalize"), ("bob", "finalize"),
+     ("alice", "golden"), ("alice", "evaluate_batch")],
+    [("alice", "finalize")],
+]
+SERVE_BATCHED_VERDICTS = {
+    "hit:alice:0": ["paid-default", "rejected-quality", "rejected-outrange",
+                    "rejected-quality"],
+    "hit:bob:1": ["rejected-quality", "paid-default"],
+    "hit:alice:2": ["rejected-quality", "rejected-quality", "paid-default"],
+}
+
+
+def test_batched_serve_path_is_byte_identical():
+    """Three seeded arrivals over two blocks, evaluated in batches —
+    quality rejections in one evaluate_batch per task and an out-of-range
+    answer disputed on its own — keep their state root, height, gas,
+    per-block schedule and every worker's verdict."""
+    out_of_range = [0] * 9 + [7]
+    with scoped_tx_nonces(), deterministic_entropy(1616):
+        system = Dragoon()
+        system.fund("alice", 220)
+        system.fund("bob", 100)
+        outcomes = system.serve([
+            TaskArrival(0, "alice", small_task(num_workers=4),
+                        [GOOD, BAD, out_of_range, BAD]),
+            TaskArrival(0, "bob", small_task(), [BAD, GOOD]),
+            TaskArrival(1, "alice", small_task(num_workers=3, budget=120),
+                        [BAD, BAD, GOOD]),
+        ])
+        root = state_root(system.chain)
+    assert root.hex() == SERVE_BATCHED_ROOT
+    assert system.chain.height == len(SERVE_BATCHED_SCHEDULE)
+    assert system.total_gas == SERVE_BATCHED_GAS
+    assert [
+        [
+            (receipt.transaction.sender.label, receipt.transaction.method)
+            for receipt in block.receipts
+        ]
+        for block in system.chain.blocks
+    ] == SERVE_BATCHED_SCHEDULE
+    assert {
+        outcome.requester.contract_name: list(outcome.verdicts().values())
+        for outcome in outcomes
+    } == SERVE_BATCHED_VERDICTS
