@@ -161,26 +161,28 @@ class Chain:
             period=self.clock.period,
             ledger=self.ledger,
         )
-        meter.charge_intrinsic(payload)
-        meter.charge_deployment(contract.code_size)
-
         ledger_state = self.ledger.snapshot()
         try:
+            meter.charge_intrinsic(payload)
+            meter.charge_deployment(contract.code_size)
             contract.on_deploy(ctx)
         except (ContractError, OutOfGas) as exc:
-            self.ledger.restore(ledger_state)
-            del self._contracts[contract.name]
-            return Receipt(
-                transaction, False, meter.used, dict(meter.breakdown),
-                tuple(ctx.events), str(exc),
+            reason = str(exc)
+        except Exception as exc:  # EVM semantics: any fault reverts
+            reason = "invalid call: %s: %s" % (type(exc).__name__, exc)
+        else:
+            receipt = Receipt(
+                transaction, True, meter.used, dict(meter.breakdown),
+                tuple(ctx.events),
             )
-
-        receipt = Receipt(
-            transaction, True, meter.used, dict(meter.breakdown), tuple(ctx.events)
+            self._record_gas(deployer, meter.used)
+            self._log_events(ctx.events)
+            return receipt
+        self.ledger.restore(ledger_state)
+        del self._contracts[contract.name]
+        return Receipt(
+            transaction, False, meter.used, dict(meter.breakdown), (), reason
         )
-        self._record_gas(deployer, meter.used)
-        self._log_events(ctx.events)
-        return receipt
 
     def deploy(
         self,

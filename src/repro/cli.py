@@ -518,8 +518,7 @@ def _cmd_node_proof(args: argparse.Namespace) -> int:
     chain, _ = NodeStore.open(args.state_dir).load(apply_runtime=False)
     tracker = trie.chain_state_trie(chain)
     tracker.track_headers = True
-    header = tracker.ensure_header(chain)
-    proof = tracker.prove(chain, key)
+    _, header, proof = tracker.anchored_proof(chain, key)
     present, value = trie.verify_proof(header.state_root, key, proof)
     rows = [
         ["key", key.hex()],

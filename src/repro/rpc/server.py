@@ -764,13 +764,14 @@ class RpcNode:
         node could have invented.
         """
         key = _hex_bytes(params, "key")
-        header = self._state_tracker.ensure_header(self.chain)
-        proof = self._state_tracker.prove(self.chain, key)
+        index, header, proof = self._state_tracker.anchored_proof(
+            self.chain, key
+        )
         _RPC_PROOFS.inc()
         return {
             "key": key.hex(),
             "proof": wire.pack(proof),
-            "header_index": len(self._state_tracker.headers) - 1,
+            "header_index": index,
             "header": wire.pack(state_trie.header_to_data(header)),
             "header_hash": header.header_hash().hex(),
         }

@@ -14,7 +14,10 @@ layers:
   ``keccak256(key)`` bit paths, with per-node hash caching.  Updating a
   key re-hashes only the dirty root-to-leaf path (O(log n) expected),
   and the structure is canonical: any insertion/deletion order over the
-  same key set reaches the same root.
+  same key set reaches the same root.  The dirty nodes are hashed in
+  waves, bottom up: a node's digest depends only on its children's, so
+  every node of one wave goes through one
+  :func:`~repro.crypto.keccak.keccak256_many` call.
 * :class:`ChainStateTrie` — the incremental tracker a
   :class:`~repro.chain.chain.Chain` carries.  It namespaces the *whole*
   durable state (ledger accounts and escrow, contract storage, the
@@ -41,13 +44,14 @@ it twice.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.chain.blocks import GENESIS_HASH
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_many
 from repro.errors import ReproError
 from repro.obs import registry as _obs
 from repro.store import codec
@@ -134,9 +138,13 @@ class MerkleTrie:
     all earlier bits, so n keys cost exactly n-1 interior nodes and the
     structure (hence the root) is a pure function of the key/value set.
     Mutations clear cached hashes along the touched root-to-leaf path
-    only; :meth:`root` recomputes just those.  The path of every key in
-    the trie is cached too, so re-setting a present key hashes nothing
-    until :meth:`root`; deleting a key drops its entry.
+    only; :meth:`root` recomputes just those, in waves: one batched
+    hash call for the dirty leaves' value digests, one for their leaf
+    digests, then one per branch height, where a branch's height is one
+    more than its tallest dirty child's.  The path of every key in the
+    trie is cached too, so re-setting a present key hashes nothing
+    until :meth:`root`; deleting a key drops its entry, and
+    :meth:`set_many` hashes the paths of all its new keys in one call.
     """
 
     __slots__ = ("_root", "_count", "_paths", "hash_computes")
@@ -166,9 +174,23 @@ class MerkleTrie:
         return None
 
     def set(self, key: bytes, value: bytes) -> None:
+        self._insert(key, self._path(key), value)
+
+    def set_many(self, items: List[Tuple[bytes, bytes]]) -> None:
+        """:meth:`set` every ``(key, value)`` pair, in order; the paths
+        of the keys new to the trie are hashed in one batch."""
+        paths = self._paths
+        fresh = [key for key, _ in items if key not in paths]
+        fresh_paths = dict(zip(fresh, keccak256_many(fresh)))
+        for key, value in items:
+            path = paths.get(key)
+            if path is None:
+                path = int.from_bytes(fresh_paths[key], "big")
+            self._insert(key, path, value)
+
+    def _insert(self, key: bytes, path: int, value: bytes) -> None:
         if not isinstance(value, bytes):
             raise ProofError("trie values must be bytes")
-        path = self._path(key)
         node = self._root
         if node is None:
             self._root = _Leaf(path, value)
@@ -244,28 +266,58 @@ class MerkleTrie:
         return True
 
     def root(self) -> bytes:
-        if self._root is None:
+        node = self._root
+        if node is None:
             return EMPTY_ROOT
-        return self._hash(self._root)
+        if node.hash is None:
+            self._hash_dirty(node)
+        return node.hash
 
-    def _hash(self, node: Any) -> bytes:
-        cached = node.hash
-        if cached is not None:
-            return cached
-        if isinstance(node, _Leaf):
-            digest = keccak256(
-                _LEAF_TAG + node.path.to_bytes(32, "big") + keccak256(node.value)
-            )
-        else:
-            digest = keccak256(
-                _NODE_TAG
-                + node.bit.to_bytes(2, "big")
-                + self._hash(node.left)
-                + self._hash(node.right)
-            )
-        node.hash = digest
-        self.hash_computes += 1
-        return digest
+    def _hash_dirty(self, top: Any) -> None:
+        """Hash every node under ``top`` whose cached hash was cleared.
+
+        A clean node's whole subtree is clean (mutations clear a path
+        from the root down), so the walk stops at cached hashes.  The
+        preimages are the recursive definition's: a leaf hashes
+        ``_LEAF_TAG || path || keccak256(value)``, a branch
+        ``_NODE_TAG || bit || left || right``.
+        """
+        leaves: List[_Leaf] = []
+        # waves[h - 1] holds the dirty branches of height h.
+        waves: List[List[_Branch]] = []
+
+        def height(node: Any) -> int:
+            if isinstance(node, _Leaf):
+                leaves.append(node)
+                return 0
+            below = 0
+            if node.left.hash is None:
+                below = height(node.left)
+            if node.right.hash is None:
+                below = max(below, height(node.right))
+            if below == len(waves):
+                waves.append([])
+            waves[below].append(node)
+            return below + 1
+
+        height(top)
+        if leaves:
+            value_digests = keccak256_many([leaf.value for leaf in leaves])
+            leaf_digests = keccak256_many([
+                _LEAF_TAG + leaf.path.to_bytes(32, "big") + value_digest
+                for leaf, value_digest in zip(leaves, value_digests)
+            ])
+            for leaf, digest in zip(leaves, leaf_digests):
+                leaf.hash = digest
+        for wave in waves:
+            digests = keccak256_many([
+                _NODE_TAG + branch.bit.to_bytes(2, "big")
+                + branch.left.hash + branch.right.hash
+                for branch in wave
+            ])
+            for branch, digest in zip(wave, digests):
+                branch.hash = digest
+        self.hash_computes += len(leaves) + sum(len(wave) for wave in waves)
 
     def prove(self, key: bytes) -> Dict[str, Any]:
         """A membership or non-membership proof for ``key``.
@@ -277,7 +329,7 @@ class MerkleTrie:
         ``value`` is ``None`` and the mismatching leaf's path/digest
         demonstrate absence (the descent *would* have found the key).
         """
-        self.root()  # populate every hash cache along the way
+        self.root()  # every node hash is cached from here on
         path = self._path(key)
         node = self._root
         if node is None:
@@ -287,7 +339,7 @@ class MerkleTrie:
         while isinstance(node, _Branch):
             direction = _path_bit(path, node.bit)
             sibling = node.left if direction else node.right
-            steps.append([node.bit, direction, self._hash(sibling)])
+            steps.append([node.bit, direction, sibling.hash])
             node = node.right if direction else node.left
         return {
             "steps": steps,
@@ -508,26 +560,39 @@ def event_key(sequence: int) -> bytes:
     return b"event/" + sequence.to_bytes(8, "big")
 
 
-def block_leaf_value(block) -> bytes:
-    return codec.encode(keccak256(codec.encode(codec.block_to_data(block))))
+#: Digested history is hashed this many preimages per batch, so a cold
+#: rebuild over a long chain never holds every block's encoding at once.
+_HISTORY_BATCH = 64
+
+
+def _block_preimage(block) -> bytes:
+    return codec.encode(codec.block_to_data(block))
+
+
+def _event_preimage(record) -> bytes:
+    return codec.encode(
+        {
+            "sequence": record.sequence,
+            "block": record.block_number,
+            "event": codec.event_to_data(record.event),
+        }
+    )
+
+
+def _digested_leaf_values(preimages: Iterable[bytes]) -> Iterator[bytes]:
+    """The leaf value of each digested-history preimage: the codec
+    encoding of its keccak digest, hashed a batch at a time."""
+    preimages = iter(preimages)
+    while True:
+        batch = list(itertools.islice(preimages, _HISTORY_BATCH))
+        if not batch:
+            return
+        for digest in keccak256_many(batch):
+            yield codec.encode(digest)
 
 
 def entry_leaf_value(entry) -> bytes:
     return codec.encode(codec.ledger_entry_to_data(entry))
-
-
-def event_leaf_value(record) -> bytes:
-    return codec.encode(
-        keccak256(
-            codec.encode(
-                {
-                    "sequence": record.sequence,
-                    "block": record.block_number,
-                    "event": codec.event_to_data(record.event),
-                }
-            )
-        )
-    )
 
 
 def live_items(chain) -> Dict[bytes, bytes]:
@@ -615,60 +680,91 @@ class ChainStateTrie:
         _TRIE_PROOFS.inc()
         return proof
 
+    def anchored_proof(
+        self, chain, key: bytes
+    ) -> Tuple[int, Header, Dict[str, Any]]:
+        """``(header_index, header, proof)`` from one sync.
+
+        :meth:`ensure_header` syncs and returns the header committing
+        to the current root; the proof is cut from that same trie under
+        the same lock, so it folds to ``header.state_root`` and the
+        chain is scanned once, not once per call.
+        """
+        with self._lock:
+            header = self.ensure_header(chain)
+            proof = self.trie.prove(key)
+            index = len(self.headers) - 1
+        _TRIE_PROOFS.inc()
+        return index, header, proof
+
     def _sync(self, chain) -> bytes:
-        hashed_before = self.trie.hash_computes
+        """Bring the trie up to date with ``chain`` and return its root.
+
+        Every update is gathered first and applied in one
+        :meth:`MerkleTrie.set_many`, so the paths of keys new to the
+        trie are hashed in one batch, as are the new blocks' and event
+        records' leaf digests.  Deletions touch keys disjoint from the
+        updates and the trie is canonical, so applying them after the
+        updates changes neither the root nor which nodes re-hash.
+        """
+        trie = self.trie
+        hashed_before = trie.hash_computes
         live = live_items(chain)
-        sets = 0
-        dels = 0
-        for key, encoded in live.items():
-            if self._live.get(key) != encoded:
-                self.trie.set(key, encoded)
-                sets += 1
-        for key in self._live:
-            if key not in live:
-                self.trie.delete(key)
-                dels += 1
+        previous = self._live
+        updates = [
+            (key, encoded)
+            for key, encoded in live.items()
+            if previous.get(key) != encoded
+        ]
+        removed = [key for key in previous if key not in live]
         self._live = live
 
         blocks = chain.blocks
-        for number in range(self._blocks, len(blocks)):
-            self.trie.set(block_key(number), block_leaf_value(blocks[number]))
-            sets += 1
+        updates.extend(zip(
+            [block_key(number) for number in range(self._blocks, len(blocks))],
+            _digested_leaf_values(
+                _block_preimage(block) for block in blocks[self._blocks:]
+            ),
+        ))
         self._blocks = len(blocks)
 
         entries = chain.ledger._entries
         if len(entries) < self._entries:  # defensive: never happens post-tx
-            for index in range(len(entries), self._entries):
-                self.trie.delete(entry_key(index))
-                dels += 1
+            removed.extend(
+                entry_key(index) for index in range(len(entries), self._entries)
+            )
             self._entries = len(entries)
-        for index in range(self._entries, len(entries)):
-            self.trie.set(entry_key(index), entry_leaf_value(entries[index]))
-            sets += 1
+        updates.extend(
+            (entry_key(index), entry_leaf_value(entries[index]))
+            for index in range(self._entries, len(entries))
+        )
         self._entries = len(entries)
 
         log = chain.event_log
         base, head = log.pruned, len(log)
-        for sequence in range(self._event_base, min(base, self._event_head)):
-            self.trie.delete(event_key(sequence))
-            dels += 1
+        removed.extend(
+            event_key(sequence)
+            for sequence in range(self._event_base, min(base, self._event_head))
+        )
         start = max(self._event_head, base)
-        if start < head:
-            for record in log.iter_since(start):
-                self.trie.set(
-                    event_key(record.sequence), event_leaf_value(record)
-                )
-                sets += 1
+        records = list(log.iter_since(start)) if start < head else []
+        updates.extend(zip(
+            [event_key(record.sequence) for record in records],
+            _digested_leaf_values(_event_preimage(record) for record in records),
+        ))
         self._event_base = base
         self._event_head = head
 
-        root = self.trie.root()
+        trie.set_many(updates)
+        for key in removed:
+            trie.delete(key)
+        root = trie.root()
         _TRIE_SYNCS.inc()
-        if sets:
-            _TRIE_UPDATES.inc(sets, op="set")
-        if dels:
-            _TRIE_UPDATES.inc(dels, op="delete")
-        hashed = self.trie.hash_computes - hashed_before
+        if updates:
+            _TRIE_UPDATES.inc(len(updates), op="set")
+        if removed:
+            _TRIE_UPDATES.inc(len(removed), op="delete")
+        hashed = trie.hash_computes - hashed_before
         if hashed:
             _TRIE_HASHES.inc(hashed)
         return root

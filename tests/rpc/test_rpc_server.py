@@ -6,8 +6,10 @@ import threading
 
 import pytest
 
-from repro.errors import RpcError
+from repro.core.hit_contract import HITContract
+from repro.errors import ChainError, RpcError
 from repro.ledger.accounts import Address
+from repro.lightclient import LightClient
 from repro.rpc import (
     AsyncRpcServer,
     HttpTransport,
@@ -17,7 +19,7 @@ from repro.rpc import (
     RpcSwarm,
     wire,
 )
-from repro.store import NodeStore, codec
+from repro.store import NodeStore, codec, trie
 from repro.storage.swarm import SwarmError
 from tests.rpc.conftest import run_one_hit
 
@@ -104,6 +106,30 @@ def test_mempool_depth_rides_chain_head(loopback_node):
     assert len(chain.mempool) == len(node.chain.mempool) == 1
     chain.mine_block()
     assert len(chain.mempool) == 0
+
+
+def test_faulting_constructor_reverts_over_rpc(loopback_node):
+    """``tx_deploy`` of a HIT contract without its constructor args: the
+    deployment reverts into a failed receipt sealed in its block, not an
+    internal error that leaves the contract half deployed."""
+    node, transport = loopback_node
+    chain = RpcChain(transport)
+    alice = chain.register_account("alice", 500)
+    root = chain.state_root()
+    for attempt in (1, 2):  # the name stays free after a revert
+        receipt = chain.deploy(HITContract("hit:broken"), alice)
+        assert not receipt.succeeded
+        assert receipt.revert_reason.startswith(
+            "invalid call: ValueError: not enough values to unpack"
+        )
+        assert chain.height == attempt
+    with pytest.raises(ChainError):
+        node.chain.contract("hit:broken")
+    assert chain.ledger.balance_of(alice) == 500
+    assert chain.state_root() == codec.state_root(node.chain) != root
+    light = LightClient(chain)
+    assert light.prove(trie.contract_key("hit:broken")) == (False, None)
+    assert light.balance_of(alice) == 500
 
 
 def test_swarm_gateway_round_trips_and_misses(rpc_setup):

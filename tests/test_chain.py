@@ -46,6 +46,20 @@ class Counter(Contract):
         ctx.require(False, "mutated in place, then reverted")
 
 
+class Faulty(Contract):
+    """A constructor that writes, escrows and emits, then faults with a
+    plain Python error rather than a contract revert."""
+
+    code_size = 100
+
+    def on_deploy(self, ctx: CallContext) -> None:
+        self._sstore(ctx, "owner", str(ctx.sender))
+        assert ctx.ledger.freeze(self.address, ctx.sender, 30)
+        self.emit(ctx, "deployed")
+        owner, budget = ctx.args  # ValueError when deployed with no args
+        del owner, budget
+
+
 @pytest.fixture
 def chain():
     chain = Chain()
@@ -72,6 +86,40 @@ def test_duplicate_contract_name_rejected(chain):
     _deploy(chain)
     with pytest.raises(ChainError):
         chain.deploy(Counter("counter"), chain.registry.lookup("deployer"))
+
+
+def test_faulting_constructor_reverts_like_a_faulting_call(chain):
+    deployer = chain.registry.lookup("deployer")
+    receipt = chain.deploy(Faulty("faulty"), deployer)
+    assert not receipt.succeeded
+    assert receipt.revert_reason.startswith(
+        "invalid call: ValueError: not enough values to unpack"
+    )
+    assert receipt.events == ()
+    assert chain.height == 1
+    assert chain.blocks[0].receipts == (receipt,)
+    with pytest.raises(ChainError):
+        chain.contract("faulty")
+    assert chain.ledger.balance_of(deployer) == 100
+    assert chain.events == []
+    # The name is free again.
+    assert chain.deploy(Counter("faulty"), deployer).succeeded
+
+
+def test_faulting_constructor_reverts_alone_in_a_batch(chain):
+    deployer = chain.registry.lookup("deployer")
+    receipts = chain.deploy_many([
+        (Faulty("faulty"), deployer, (), b""),
+        (Counter("counter"), deployer, (), b""),
+    ])
+    assert [receipt.succeeded for receipt in receipts] == [False, True]
+    assert receipts[0].revert_reason.startswith("invalid call: ValueError")
+    assert chain.height == 1
+    assert chain.contract("counter").storage["count"] == 0
+    with pytest.raises(ChainError):
+        chain.contract("faulty")
+    assert chain.ledger.balance_of(deployer) == 100
+    assert chain.events == []
 
 
 def test_send_and_mine(chain):

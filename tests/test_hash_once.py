@@ -2,8 +2,9 @@
 
 Transactions, blocks and headers are frozen dataclasses, so each keeps
 its keccak digest after the first call, and the state trie keeps the
-path of every key it holds.  These tests count ``keccak256`` calls to
-pin that, and check that a kept digest never outlives the fields it
+path of every key it holds.  These tests count keccak digests (each
+``keccak256`` call, each message of a ``keccak256_many`` batch) to pin
+that, and check that a kept digest never outlives the fields it
 describes: a ``dataclasses.replace``d object and a pickled chain get
 exactly the digests a fresh object would.
 """
@@ -37,21 +38,32 @@ class Ping(Contract):
 
 
 class KeccakCalls:
-    """Counts ``keccak256`` calls made through any ``repro`` module."""
+    """Counts keccak-256 digests asked for through any ``repro`` module:
+    one per ``keccak256`` call and one per message passed to
+    ``keccak256_many``, so batched trie hashing counts as it did when
+    every node was its own call."""
 
     def __init__(self, monkeypatch) -> None:
         self.count = 0
-        original = keccak.keccak256
+        single, many = keccak.keccak256, keccak.keccak256_many
 
         def counted(data):
             self.count += 1
-            return original(data)
+            return single(data)
+
+        def counted_many(messages):
+            self.count += len(messages)
+            return many(messages)
 
         for module in list(sys.modules.values()):
             if not getattr(module, "__name__", "").startswith("repro"):
                 continue
-            if vars(module).get("keccak256") is original:
-                monkeypatch.setattr(module, "keccak256", counted)
+            for name, original, wrapper in (
+                ("keccak256", single, counted),
+                ("keccak256_many", many, counted_many),
+            ):
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, wrapper)
 
     def during(self, action):
         """``(result, calls)`` for one call of ``action``."""

@@ -1,7 +1,8 @@
 """keccak-256 against the well-known Ethereum vectors and edge cases,
-and the sponge itself against an independent oracle: ``hashlib.sha3_256``
+and both sponges against an independent oracle: ``hashlib.sha3_256``
 runs the same keccak-f[1600] at the same 136-byte rate and differs only
-in its first pad byte (``0x06`` where keccak has ``0x01``)."""
+in its first pad byte (``0x06`` where keccak has ``0x01``).  The batched
+``keccak256_many`` is checked against ``keccak256``, the reference."""
 
 import hashlib
 import random
@@ -9,7 +10,12 @@ import random
 import pytest
 
 from repro.crypto import keccak
-from repro.crypto.keccak import keccak256, keccak256_hex, keccak_to_int
+from repro.crypto.keccak import (
+    keccak256,
+    keccak256_hex,
+    keccak256_many,
+    keccak_to_int,
+)
 
 #: SHA3-256's first pad byte; keccak-256 uses 0x01.
 SHA3_PAD = 0x06
@@ -92,3 +98,63 @@ def test_accepts_any_bytes_like_input():
     data = random.Random(7).randbytes(300)
     for view in (bytearray(data), memoryview(data)):
         assert keccak256(view) == keccak256(data)
+
+
+# ---------------------------------------------------------------------------
+# keccak256_many: many messages side by side, checked against keccak256
+# ---------------------------------------------------------------------------
+
+
+def test_many_matches_keccak256_at_every_length_in_one_mixed_batch():
+    """Lengths 0..409 in one call: groups of 136 one-, two- and
+    three-block messages and a group of two four-block ones, shuffled so
+    each group's digests must land back at their own positions."""
+    rng = random.Random(409)
+    message = rng.randbytes(410)
+    batch = [message[:length] for length in range(len(message))]
+    rng.shuffle(batch)
+    assert keccak256_many(batch) == [keccak256(data) for data in batch]
+
+
+@pytest.mark.parametrize("size", range(1, 71))
+def test_many_matches_keccak256_on_equal_length_batches(size):
+    rng = random.Random(size)
+    length = rng.choice((0, 1, 32, 65, 67, 135, 136, 200, 271))
+    batch = [rng.randbytes(length) for _ in range(size)]
+    assert keccak256_many(batch) == [keccak256(data) for data in batch]
+
+
+def test_many_mixes_block_counts_and_lone_lengths_in_one_call():
+    """Shared and unshared padded lengths side by side: three 8-block
+    messages, a lone 4 KB one, five 1-block messages and lone 2- and
+    3-block ones."""
+    rng = random.Random(8)
+    lengths = [1000, 67, 1080, 4096, 67, 135, 1050, 0, 136, 65, 300]
+    batch = [rng.randbytes(length) for length in lengths]
+    assert keccak256_many(batch) == [keccak256(data) for data in batch]
+
+
+def test_many_accepts_bytes_like_input_and_an_empty_batch():
+    data = random.Random(9).randbytes(300)
+    views = [bytearray(data), memoryview(data), data, bytearray(data[:10])]
+    assert keccak256_many(views) == [keccak256(bytes(view)) for view in views]
+    assert keccak256_many([]) == []
+
+
+def test_batched_sponge_matches_sha3_at_every_length_to_three_rates_plus_one():
+    """The batched path with SHA3's pad byte against the oracle, at every
+    length 0..3*136+1 in one call (every group two or more wide)."""
+    message = random.Random(1601).randbytes(3 * 136 + 1)
+    batch = [message[:length] for length in range(len(message) + 1)]
+    assert keccak._sponge_many(batch, SHA3_PAD) == [
+        hashlib.sha3_256(data).digest() for data in batch
+    ]
+
+
+@pytest.mark.parametrize("length", [1000, 4096, 8191])
+def test_wide_sponge_matches_sha3_on_seeded_multi_kilobyte_inputs(length):
+    rng = random.Random(length)
+    batch = [rng.randbytes(length) for _ in range(3)]
+    assert keccak._sponge_wide(batch, SHA3_PAD) == [
+        hashlib.sha3_256(data).digest() for data in batch
+    ]

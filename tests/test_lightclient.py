@@ -18,6 +18,7 @@ in-process/RPC parity of the stale-cursor refusal, and the two
 from __future__ import annotations
 
 import gc
+import json
 
 import pytest
 
@@ -36,7 +37,7 @@ from repro.lightclient import LightClient
 from repro.obs.registry import REGISTRY, render_prometheus
 from repro.rpc import LoopbackTransport, RpcChain, RpcNode, RpcSwarm
 from repro.store import codec
-from repro.store.trie import Header, ProofError, header_to_data
+from repro.store.trie import Header, ProofError, account_key, header_to_data
 from tests.helpers import small_task
 from tests.rpc.conftest import rpc_client_factories, run_one_hit
 
@@ -155,6 +156,44 @@ def test_settlement_receipt_verifies_for_the_rejected_worker(
 def test_unknown_worker_has_no_receipt(client):
     with pytest.raises(ProofError):
         client.verify_settlement("hit:alice", Address.from_label("ghost"))
+
+
+class _CountingTransport(LoopbackTransport):
+    """Loopback that records the method of every request it carries."""
+
+    def __init__(self, node) -> None:
+        super().__init__(node)
+        self.methods = []
+
+    def request(self, raw: bytes, idempotent: bool = False) -> bytes:
+        self.methods.append(json.loads(raw)["method"])
+        return super().request(raw, idempotent)
+
+
+def test_one_get_proof_runs_one_trie_sync(settled_node):
+    """The proof is cut from the sync that mints its header, not from a
+    second scan of the whole chain."""
+    _, transport = settled_node
+    node_handle = RpcChain(transport)
+    key = account_key(_worker(settled_node, 0))
+    node_handle.get_proof(key)
+    before = REGISTRY.read("state_trie_syncs_total")
+    node_handle.get_proof(key)
+    assert REGISTRY.read("state_trie_syncs_total") == before + 1
+
+
+def test_a_proof_on_a_verified_header_sends_no_header_request(settled_node):
+    """Once the client holds the header a proof anchors to, a second
+    proof on an unchanged node is one ``get_proof`` round trip."""
+    node, _ = settled_node
+    transport = _CountingTransport(node)
+    client = LightClient(RpcChain(transport))
+    worker = _worker(settled_node, 0)
+    balance = client.balance_of(worker)
+    assert "chain_header" in transport.methods
+    transport.methods.clear()
+    assert client.balance_of(worker) == balance
+    assert transport.methods == ["get_proof"]
 
 
 def test_trust_pin_accepts_the_real_anchor_and_rejects_a_fake(

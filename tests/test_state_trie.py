@@ -97,6 +97,75 @@ def test_update_in_place_changes_root_and_get():
     assert t.root() == old_root
 
 
+def _recursive_root(t: MerkleTrie):
+    """``(root, nodes hashed)`` as a depth-first recursion computes them.
+
+    One ``keccak256`` per node whose cached hash is cleared, reusing the
+    cached ones and caching nothing, so it can run on a dirty trie
+    before ``t.root()`` and tell what the waves must produce and count.
+    """
+    hashed = 0
+
+    def digest(node) -> bytes:
+        nonlocal hashed
+        if node.hash is not None:
+            return node.hash
+        hashed += 1
+        if isinstance(node, trie._Leaf):
+            return keccak256(
+                b"\x00" + node.path.to_bytes(32, "big") + keccak256(node.value)
+            )
+        return keccak256(
+            b"\x01" + node.bit.to_bytes(2, "big")
+            + digest(node.left) + digest(node.right)
+        )
+
+    if t._root is None:
+        return EMPTY_ROOT, 0
+    root = digest(t._root)
+    return root, hashed
+
+
+def test_root_hashes_the_dirty_region_in_waves(monkeypatch):
+    """Re-setting 60 of 1,000 keys dirties 60 leaves and every branch
+    above them.  One ``root()`` hashes them in at most (dirty height + 2)
+    batched calls (the value digests, the leaf digests, then one per
+    branch height) and counts the nodes the recursion would hash."""
+    t = MerkleTrie()
+    for index in range(1000):
+        t.set(b"key-%d" % index, b"v0")
+    t.root()
+    keys = [b"key-%d" % index for index in range(0, 960, 16)]
+    assert len(keys) == 60
+    # Every branch above a dirty leaf is dirty: the dirty region is as
+    # tall as the deepest re-set key's proof.
+    height = max(len(t.prove(key)["steps"]) for key in keys)
+    for key in keys:
+        t.set(key, b"v1")
+    expected_root, expected_hashed = _recursive_root(t)
+
+    batches = []
+    singles = []
+    batched, single = trie.keccak256_many, trie.keccak256
+
+    def counted_many(messages):
+        batches.append(len(messages))
+        return batched(messages)
+
+    def counted_single(data):
+        singles.append(data)
+        return single(data)
+
+    monkeypatch.setattr(trie, "keccak256_many", counted_many)
+    monkeypatch.setattr(trie, "keccak256", counted_single)
+    before = t.hash_computes
+    assert t.root() == expected_root
+    assert t.hash_computes - before == expected_hashed
+    assert len(batches) <= height + 2
+    assert sum(batches) == expected_hashed + len(keys)  # 2 per leaf
+    assert singles == []
+
+
 def test_incremental_updates_rehash_only_the_dirty_path():
     t = MerkleTrie()
     for index in range(256):
@@ -268,7 +337,7 @@ _ops = st.lists(
 def test_incremental_root_matches_scratch_rebuild(ops):
     t = MerkleTrie()
     model = {}
-    for kind, key_index, value_index in ops:
+    for step, (kind, key_index, value_index) in enumerate(ops):
         key = b"key-%d" % key_index
         if kind == "set":
             value = b"value-%d" % value_index
@@ -277,6 +346,13 @@ def test_incremental_root_matches_scratch_rebuild(ops):
         else:
             assert t.delete(key) == (key in model)
             model.pop(key, None)
+        if step == len(ops) // 2:
+            # A root read mid-stream: the rest runs on a partly cached trie.
+            assert t.root() == _recursive_root(t)[0]
+    expected_root, expected_hashed = _recursive_root(t)
+    before = t.hash_computes
+    assert t.root() == expected_root
+    assert t.hash_computes - before == expected_hashed
     rebuilt = MerkleTrie()
     for key, value in model.items():
         rebuilt.set(key, value)
