@@ -324,7 +324,6 @@ class Chain:
             period=self.clock.period,
             ledger=self.ledger,
         )
-        meter.charge_intrinsic(transaction.payload)
 
         # A deep snapshot: ``dict(contract.storage)`` shares the nested
         # mutable values, so a handler that appended to a stored list
@@ -333,6 +332,10 @@ class Chain:
         storage_state = snapshot_storage(contract.storage)
         ledger_state = self.ledger.snapshot()
         try:
+            # Inside the ``try``: a payload whose calldata alone exceeds
+            # the gas limit gets a failed receipt, not a raise out of
+            # ``mine_block`` with the rest of the block lost.
+            meter.charge_intrinsic(transaction.payload)
             contract.dispatch(transaction.method, ctx)
             status, reason = True, ""
         except (ContractError, OutOfGas) as exc:

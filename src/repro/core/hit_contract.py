@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.chain.contract import CallContext, Contract
 from repro.crypto.commitment import Commitment, open_commitment
 from repro.crypto.elgamal import Ciphertext, ElGamalPublicKey
+from repro.crypto.keccak import keccak256_many
 from repro.crypto.poqoea import QualityProof
 from repro.crypto.vpke import (
     Claim,
@@ -225,16 +226,15 @@ class HITContract(Contract):
 
         # Store one keccak hash per question ciphertext (the paper's
         # storage optimization: hashes on-chain, bodies in the event log).
-        from repro.crypto.keccak import keccak256
-
-        for index in range(parameters.num_questions):
-            chunk = ciphertext_bytes[
-                index * CIPHERTEXT_BYTES : (index + 1) * CIPHERTEXT_BYTES
-            ]
+        # The equal-length chunks hash in one pass; gas is charged per
+        # chunk, interleaved with the stores.
+        digests = keccak256_many([
+            ciphertext_bytes[start : start + CIPHERTEXT_BYTES]
+            for start in range(0, expected, CIPHERTEXT_BYTES)
+        ])
+        for index, digest in enumerate(digests):
             ctx.meter.charge_keccak(CIPHERTEXT_BYTES)
-            self._sstore(
-                ctx, "cthash:%s:%d" % (ctx.sender.hex(), index), keccak256(chunk)
-            )
+            self._sstore(ctx, "cthash:%s:%d" % (ctx.sender.hex(), index), digest)
 
         self._sstore(ctx, "revealed:" + ctx.sender.hex(), True)
         self.emit(

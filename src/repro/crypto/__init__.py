@@ -21,7 +21,6 @@ from repro.crypto.field import FIELD_MODULUS, CURVE_ORDER, Fq, Fr, make_prime_fi
 from repro.crypto.curve import (
     G1Point,
     GENERATOR,
-    configure_fixed_base_cache,
     fixed_base_cache_info,
     msm,
     precompute_base,
@@ -76,7 +75,6 @@ __all__ = [
     "make_prime_field",
     "G1Point",
     "GENERATOR",
-    "configure_fixed_base_cache",
     "fixed_base_cache_info",
     "msm",
     "precompute_base",

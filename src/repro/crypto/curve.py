@@ -6,16 +6,27 @@ The curve is ``y^2 = x^3 + 3`` over the prime field of
 Ethereum's EIP-196/EIP-1108 precompiles, which is exactly why the paper
 instantiates every public-key primitive over it.
 
-Internally the hot path (scalar multiplication) uses Jacobian projective
-coordinates on raw ints.  The public API is :class:`G1Point`, an immutable
-affine point with operator overloading, plus module-level helpers mirroring
-the precompile interface (``ec_add``, ``ec_mul``).
+Internally the hot paths work on raw ints in Jacobian projective
+coordinates.  A variable-base multiplication (``ec_mul``, ``G1Point * k``)
+uses the curve's endomorphism phi(x, y) = (BETA * x, y) = LAMBDA * (x, y)
+(Gallant, Lambert and Vanstone, CRYPTO 2001): it splits the scalar into two
+halves below 2^126, recodes each in width-5 NAF, and walks both at once, so
+a multiplication costs ~126 doublings and ~42 mixed additions instead of the
+~254 doublings and ~127 additions of binary double-and-add.  A fixed-base
+multiplication (:func:`mul_fixed`) reads a cached :class:`FixedBaseTable`
+and does no doubling at all.  Both keep their precomputed multiples in
+affine form, normalized with one inversion (Montgomery's trick), so every
+addition in their loops is a mixed Jacobian-plus-affine addition.
+
+The public API is :class:`G1Point`, an immutable affine point with operator
+overloading, plus module-level helpers mirroring the precompile interface
+(``ec_add``, ``ec_mul``).
 """
 
 from __future__ import annotations
 
 import secrets
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.field import CURVE_ORDER, FIELD_MODULUS, inv_mod, sqrt_mod
 from repro.crypto.keccak import keccak256
@@ -133,18 +144,138 @@ def _jacobian_add(p: _Jacobian, q: _Jacobian) -> _Jacobian:
     return (nx, ny, nz)
 
 
-def _jacobian_mul(point: _Jacobian, scalar: int) -> _Jacobian:
-    scalar %= CURVE_ORDER
-    if scalar == 0 or point[2] == 0:
-        return _INFINITY_J
-    result = _INFINITY_J
-    addend = point
+def _batch_to_affine(points: Sequence[_Jacobian]) -> List[Tuple[int, int]]:
+    """Finite Jacobian points to affine with one inversion (Montgomery's trick)."""
+    prefix = []
+    running = 1
+    for _, _, z in points:
+        prefix.append(running)
+        running = running * z % _P
+    inverse = inv_mod(running, _P)
+    affine: list = [None] * len(points)
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z = points[index]
+        z_inv = inverse * prefix[index] % _P
+        inverse = inverse * z % _P
+        z_inv_sq = z_inv * z_inv % _P
+        affine[index] = (x * z_inv_sq % _P, y * z_inv_sq * z_inv % _P)
+    return affine
+
+
+# The GLV endomorphism.  _BETA is a cube root of unity mod p and _LAMBDA one
+# mod r, paired so that phi(x, y) = (_BETA * x, y) equals _LAMBDA * (x, y) on
+# G1.  (A1, B1) and (A2, B2) are a reduced basis of the lattice
+# {(a, b) : a + b * _LAMBDA = 0 mod r}; rounding against it splits any
+# scalar into halves below 2^126.  tests/test_curve.py derives all six from
+# FIELD_MODULUS and CURVE_ORDER.
+_BETA = 2203960485148121921418603742825762020974279258880205651966
+_LAMBDA = 4407920970296243842393367215006156084916469457145843978461
+_GLV_A1 = 9931322734385697763
+_GLV_B1 = -147946756881789319000765030803803410728
+_GLV_A2 = 147946756881789319010696353538189108491
+_GLV_B2 = 9931322734385697763
+_HALF_ORDER = CURVE_ORDER // 2
+_WNAF_WIDTH = 5
+
+
+def _glv_split(scalar: int) -> Tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 * _LAMBDA = scalar (mod r)``, both below 2^126."""
+    c1 = (scalar * _GLV_B2 + _HALF_ORDER) // CURVE_ORDER
+    c2 = (-scalar * _GLV_B1 + _HALF_ORDER) // CURVE_ORDER
+    return (
+        scalar - c1 * _GLV_A1 - c2 * _GLV_A2,
+        -c1 * _GLV_B1 - c2 * _GLV_B2,
+    )
+
+
+def _wnaf(scalar: int) -> List[int]:
+    """Width-5 NAF digits of ``scalar >= 0``, least significant first.
+
+    Every digit is 0 or odd in (-16, 16), and any non-zero digit is
+    followed by at least four zeros.
+    """
+    full = 1 << _WNAF_WIDTH
+    half = full >> 1
+    digits = []
     while scalar:
         if scalar & 1:
-            result = _jacobian_add(result, addend)
-        addend = _jacobian_double(addend)
+            digit = scalar & (full - 1)
+            if digit >= half:
+                digit -= full
+            scalar -= digit
+        else:
+            digit = 0
+        digits.append(digit)
         scalar >>= 1
-    return result
+    return digits
+
+
+def _odd_multiples(point: Tuple[int, int]) -> List[_Jacobian]:
+    """``P, 3P, 5P, ..., 15P`` in Jacobian form."""
+    base = (point[0], point[1], 1)
+    twice = _jacobian_double(base)
+    multiples = [base]
+    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
+        multiples.append(_jacobian_add(multiples[-1], twice))
+    return multiples
+
+
+def _glv_mul(point: Tuple[int, int], scalar: int) -> _Jacobian:
+    """``scalar * point`` for a finite point and ``0 < scalar < r``.
+
+    ``scalar = k1 + k2 * LAMBDA``, so the result is ``k1 * P + k2 * phi(P)``:
+    one pass of doublings over the longer half's NAF, adding odd multiples
+    of ``P`` and of ``phi(P)`` (read off ``P``'s as ``(BETA * x, y)``, with
+    ``y`` negated where the digit's sign and its half's sign differ).
+    Doubling and mixed addition are written out in the loop on local ints.
+
+    The addition needs no branch for ``H = 0`` (accumulator equal to
+    ``+-T``, the multiple being added): both are ``(a + b * LAMBDA) * P``
+    for integer pairs whose difference stays below 2^126 + 32, shorter than
+    any non-zero vector of the lattice (2^126.8), so they coincide only as
+    integer pairs, which the NAF's zero runs rule out.  For the same reason
+    the accumulator is at infinity only before its first addition.
+    """
+    P = _P
+    k1, k2 = _glv_split(scalar)
+    odd = _batch_to_affine(_odd_multiples(point))
+    phi_odd = [(_BETA * x % P, y) for x, y in odd]
+    digits1, digits2 = _wnaf(abs(k1)), _wnaf(abs(k2))
+    # steps[i]: the affine points added after the doubling at bit i.
+    steps: list = [()] * max(len(digits1), len(digits2))
+    for half, digits, multiples in ((k1, digits1, odd), (k2, digits2, phi_odd)):
+        for position, digit in enumerate(digits):
+            if digit:
+                x, y = multiples[abs(digit) >> 1]
+                if (digit < 0) != (half < 0):
+                    y = P - y
+                steps[position] += ((x, y),)
+
+    X, Y, Z = _INFINITY_J
+    for adds in reversed(steps):
+        if Z:
+            ysq = Y * Y % P
+            s = 4 * X * ysq % P
+            m = 3 * X * X % P
+            X3 = (m * m - 2 * s) % P
+            Z = 2 * Y * Z % P
+            Y = (m * (s - X3) - 8 * ysq * ysq) % P
+            X = X3
+        for x2, y2 in adds:
+            if not Z:
+                X, Y, Z = x2, y2, 1
+                continue
+            zz = Z * Z % P
+            H = (x2 * zz - X) % P
+            R = (y2 * zz * Z - Y) % P
+            HH = H * H % P
+            HHH = H * HH % P
+            V = X * HH % P
+            X3 = (R * R - HHH - 2 * V) % P
+            Y = (R * (V - X3) - Y * HHH) % P
+            X = X3
+            Z = Z * H % P
+    return (X, Y, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +290,10 @@ def ec_add(p: Affine, q: Affine) -> Affine:
 
 def ec_mul(p: Affine, scalar: int) -> Affine:
     """Affine scalar multiplication (the EIP-196 ecMul operation)."""
-    return _from_jacobian(_jacobian_mul(_to_jacobian(p), scalar))
+    scalar %= CURVE_ORDER
+    if p is None or scalar == 0:
+        return None
+    return _from_jacobian(_glv_mul(p, scalar))
 
 
 def ec_neg(p: Affine) -> Affine:
@@ -310,66 +444,89 @@ class G1Point:
 
 
 class FixedBaseTable:
-    """Precomputed 4-bit-window multiples of a fixed base point.
+    """Precomputed signed 4-bit-window multiples of a fixed base point.
 
     Scalar multiplication against a fixed base (the generator, a public
-    key) dominates the protocol's CPU profile.  With windows
-    ``table[w][d] = (16^w · d) · P`` a multiplication is ~63 point
-    additions instead of ~380 double-and-add steps.  Building a table
-    costs ~1000 additions, so it pays off after a handful of uses;
-    :func:`mul_fixed` caches tables per base point.
+    key) recurs throughout the protocol.  Row ``w`` holds
+    ``d * 16^w * P`` for ``d = 1..8`` in affine form, normalized at build
+    with one inversion.  A multiplication recodes the scalar into digits
+    in ``[-7, 8]`` and adds one entry per non-zero digit (``y`` negated
+    for a negative one): ~60 mixed additions and no doublings.  A build
+    costs ~380 additions, ~130 doublings and one batch normalization, so
+    it pays off after a handful of uses; :func:`mul_fixed` caches tables
+    per base point.
     """
 
     WINDOW_BITS = 4
-    NUM_WINDOWS = (256 + WINDOW_BITS - 1) // WINDOW_BITS
+    #: Enough windows for any reduced scalar plus the recoding's carry.
+    NUM_WINDOWS = (CURVE_ORDER.bit_length() + WINDOW_BITS) // WINDOW_BITS
 
     def __init__(self, base: Affine) -> None:
         self.base = base
-        mask_step = _to_jacobian(base)
-        self._rows: list = []
+        self._rows: List[List[Tuple[int, int]]] = []
+        if base is None:
+            return
+        half = 1 << (self.WINDOW_BITS - 1)
+        points: List[_Jacobian] = []
+        step = _to_jacobian(base)
         for _ in range(self.NUM_WINDOWS):
-            row = [_INFINITY_J]
-            current = _INFINITY_J
-            for _ in range((1 << self.WINDOW_BITS) - 1):
-                current = _jacobian_add(current, mask_step)
-                row.append(current)
-            self._rows.append(row)
-            for _ in range(self.WINDOW_BITS):
-                mask_step = _jacobian_double(mask_step)
+            row = [step, _jacobian_double(step)]
+            while len(row) < half:
+                row.append(_jacobian_add(row[-1], step))
+            points.extend(row)
+            step = _jacobian_double(row[-1])
+        affine = _batch_to_affine(points)
+        self._rows = [
+            affine[start:start + half] for start in range(0, len(affine), half)
+        ]
 
     def multiply(self, scalar: int) -> Affine:
         scalar %= CURVE_ORDER
-        accumulator = _INFINITY_J
+        if not scalar or not self._rows:
+            return None
+        P = _P
+        rows = self._rows
+        X, Y, Z = _INFINITY_J
         window = 0
         while scalar:
             digit = scalar & 0xF
-            if digit:
-                accumulator = _jacobian_add(accumulator, self._rows[window][digit])
             scalar >>= 4
+            if digit > 8:
+                digit -= 16
+                scalar += 1
+            if digit:
+                if digit > 0:
+                    x2, y2 = rows[window][digit - 1]
+                else:
+                    x2, y2 = rows[window][-digit - 1]
+                    y2 = P - y2
+                if not Z:
+                    X, Y, Z = x2, y2, 1
+                else:
+                    zz = Z * Z % P
+                    H = (x2 * zz - X) % P
+                    R = (y2 * zz * Z - Y) % P
+                    if H == 0:
+                        # acc == +-T: the doubling or infinity cases.
+                        X, Y, Z = _jacobian_add((X, Y, Z), (x2, y2, 1))
+                    else:
+                        HH = H * H % P
+                        HHH = H * HH % P
+                        V = X * HH % P
+                        X3 = (R * R - HHH - 2 * V) % P
+                        Y = (R * (V - X3) - Y * HHH) % P
+                        X = X3
+                        Z = Z * H % P
             window += 1
-        return _from_jacobian(accumulator)
+        return _from_jacobian((X, Y, Z))
 
 
+#: Tables kept by :func:`mul_fixed`, least recently used first; that one
+#: goes when a new base arrives at the limit.
 _FIXED_BASE_CACHE: dict = {}
 _FIXED_BASE_CACHE_LIMIT = 16
 _FIXED_BASE_CACHE_HITS = 0
 _FIXED_BASE_CACHE_MISSES = 0
-
-
-def configure_fixed_base_cache(limit: int) -> None:
-    """Set how many per-base window tables :func:`mul_fixed` retains.
-
-    A deployment verifying proofs under many distinct public keys can
-    raise the limit so every key keeps its table; a memory-constrained
-    one can lower it.  Shrinking below the current population evicts
-    everything (the cache is an amortization aid, not state).
-    """
-    global _FIXED_BASE_CACHE_LIMIT
-    if limit < 1:
-        raise ValueError("fixed-base cache limit must be positive")
-    _FIXED_BASE_CACHE_LIMIT = limit
-    if len(_FIXED_BASE_CACHE) > limit:
-        _FIXED_BASE_CACHE.clear()
 
 
 def fixed_base_cache_info() -> Tuple[int, int]:
@@ -401,19 +558,20 @@ def reset_fixed_base_cache_stats() -> None:
 
 
 def mul_fixed(base: Affine, scalar: int) -> Affine:
-    """Scalar multiplication with per-base precomputation (cached)."""
+    """Scalar multiplication with per-base precomputation (LRU-cached)."""
     global _FIXED_BASE_CACHE_HITS, _FIXED_BASE_CACHE_MISSES
     if base is None:
         return None
-    table = _FIXED_BASE_CACHE.get(base)
+    table = _FIXED_BASE_CACHE.pop(base, None)
     if table is None:
         _FIXED_BASE_CACHE_MISSES += 1
         if len(_FIXED_BASE_CACHE) >= _FIXED_BASE_CACHE_LIMIT:
-            _FIXED_BASE_CACHE.clear()
+            del _FIXED_BASE_CACHE[next(iter(_FIXED_BASE_CACHE))]
         table = FixedBaseTable(base)
-        _FIXED_BASE_CACHE[base] = table
     else:
         _FIXED_BASE_CACHE_HITS += 1
+    # Re-inserting moves the base to the end: the dict's order is recency.
+    _FIXED_BASE_CACHE[base] = table
     return table.multiply(scalar)
 
 

@@ -18,6 +18,7 @@ dispute path needs.
 
 from __future__ import annotations
 
+import functools
 import secrets
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -110,9 +111,15 @@ class ElGamalSecretKey:
         self._g = G1Point.generator()
         self._bsgs_cache: Dict[int, Dict[G1Point, int]] = {}
 
-    @property
+    @functools.cached_property
     def public_key(self) -> ElGamalPublicKey:
-        return ElGamalPublicKey(self._g * self.k)
+        """``g^k``, computed once per key through the generator's table.
+
+        Cached on the instance, so a key unpickled from an older
+        checkpoint (which carries no cached value) computes it on first
+        use.
+        """
+        return ElGamalPublicKey(self._g.mul_fixed(self.k))
 
     def shared_point(self, ciphertext: Ciphertext) -> G1Point:
         """The masked plaintext ``g^m = c2 / c1^k``."""

@@ -34,15 +34,15 @@ their requesters' long-lived keys):
   random-linear-combination check
   (:func:`repro.crypto.vpke.verify_decryption_batch`).
 
-Precomputation knobs
---------------------
+Precomputation
+--------------
 
-The scalar-multiplication hot path caches 4-bit window tables per base
-point (generator, requester public keys).  Deployments hosting many
-requesters can size the cache with
-:func:`repro.crypto.curve.configure_fixed_base_cache` and warm tables
-ahead of a burst with :func:`repro.crypto.curve.precompute_base`;
-:func:`repro.crypto.curve.fixed_base_cache_info` reports occupancy.
+Fixed-base scalar multiplication reads per-base window tables
+(generator, requester public keys) from a least-recently-used cache of
+fixed size, so the generator's table survives any number of one-off
+bases.  :func:`repro.crypto.curve.precompute_base` warms a table ahead
+of a burst; :func:`repro.crypto.curve.fixed_base_cache_info` reports
+occupancy.
 
 ``benchmarks/bench_batch_verification.py`` records the batched-versus-
 sequential speedup (see its module docstring for how to reproduce the

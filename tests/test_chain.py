@@ -5,6 +5,7 @@ import pytest
 from repro.chain.chain import Chain
 from repro.chain.contract import CallContext, Contract
 from repro.chain.gas import TX_BASE, deployment_cost
+from repro.chain.transactions import Transaction
 from repro.errors import ChainError, ContractError
 
 
@@ -130,6 +131,34 @@ def test_send_and_mine(chain):
     block = chain.mine_block()
     assert len(block.transactions) == 2
     assert all(r.succeeded for r in block.receipts)
+    assert contract.storage["count"] == 2
+
+
+def test_oversized_transaction_gets_a_failed_receipt_in_its_block(chain):
+    """A tx whose calldata alone costs more than its gas limit reverts in
+    its block.  The intrinsic charge once ran outside the revert guard:
+    ``mine_block`` raised ``OutOfGas`` with the mempool drained, the tx
+    before it applied, no block sealed and the tx after it lost."""
+    contract = _deploy(chain)
+    user = chain.registry.lookup("user")
+    chain.send(user, "counter", "increment")
+    # 21,000 base + 16 per non-zero byte = 37,000 gas against 30,000.
+    oversized = Transaction(
+        sender=user, contract="counter", method="increment",
+        payload=b"\x01" * 1000, gas_limit=30_000,
+    )
+    chain.mempool.submit(oversized)
+    chain.send(user, "counter", "increment")
+    block = chain.mine_block()
+    assert chain.height == 2
+    assert len(chain.mempool) == 0
+    assert [r.succeeded for r in block.receipts] == [True, False, True]
+    assert block.transactions[1] is oversized
+    assert block.receipts[1].revert_reason == (
+        "gas limit 30000 exceeded (used 37000 at 'calldata')"
+    )
+    assert block.receipts[1].events == ()
+    assert block.receipts[0].gas_used == block.receipts[2].gas_used
     assert contract.storage["count"] == 2
 
 

@@ -1,10 +1,13 @@
 """Exponential ElGamal: correctness, homomorphism, range behaviour."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import curve
 from repro.crypto.curve import G1Point
-from repro.crypto.elgamal import Ciphertext, keygen
+from repro.crypto.elgamal import Ciphertext, ElGamalSecretKey, keygen
 from repro.errors import DecryptionError, InvalidScalar
 
 
@@ -130,3 +133,53 @@ def test_public_key_equality_and_hash():
     assert pk1 == pk2
     assert pk1 != pk3
     assert len({pk1, pk2, pk3}) == 2
+
+
+class _Multiplications:
+    """Counts the scalar multiplications behind ``G1Point``: variable-base
+    (``G1Point * k``, through ``curve.ec_mul``) and fixed-base
+    (``G1Point.mul_fixed``, through ``curve.mul_fixed``)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.variable = self.fixed = 0
+        ec_mul, mul_fixed = curve.ec_mul, curve.mul_fixed
+
+        def counted_ec_mul(point, scalar):
+            self.variable += 1
+            return ec_mul(point, scalar)
+
+        def counted_mul_fixed(point, scalar):
+            self.fixed += 1
+            return mul_fixed(point, scalar)
+
+        monkeypatch.setattr(curve, "ec_mul", counted_ec_mul)
+        monkeypatch.setattr(curve, "mul_fixed", counted_mul_fixed)
+
+
+def test_public_key_costs_one_multiplication_per_key(monkeypatch):
+    expected = G1Point.generator() * 0x5EC12E7
+    sk = ElGamalSecretKey(0x5EC12E7)
+    counted = _Multiplications(monkeypatch)
+    first, second = sk.public_key, sk.public_key
+    assert first is second
+    assert first.h == expected
+    assert (counted.variable, counted.fixed) == (0, 1)
+
+
+def test_decrypt_vector_costs_one_variable_base_multiplication_each(
+    keypair, monkeypatch
+):
+    pk, sk = keypair
+    ciphertexts = pk.encrypt_vector([0, 3, 1, 3, 2])
+    counted = _Multiplications(monkeypatch)
+    assert sk.decrypt_vector(ciphertexts, range(4)) == [0, 3, 1, 3, 2]
+    assert counted.variable == 5
+
+
+def test_key_pickled_without_a_cached_public_key_still_loads():
+    """A key pickled before ``public_key`` was cached (as in checkpoints
+    written by older versions) carries no cached value; it computes one."""
+    sk = ElGamalSecretKey(0xC0FFEE)
+    assert "public_key" not in vars(sk)
+    restored = pickle.loads(pickle.dumps(sk))
+    assert restored.public_key.h == G1Point.generator() * 0xC0FFEE
