@@ -102,15 +102,21 @@ class GasMeter:
     breakdown: Dict[str, int] = field(default_factory=dict)
 
     def charge(self, amount: int, label: str) -> None:
-        """Charge ``amount`` gas under ``label``; raises on exhaustion."""
+        """Charge ``amount`` gas under ``label``; raises on exhaustion.
+
+        An exhausting charge takes only what the limit leaves, so an
+        out-of-gas transaction has used exactly its limit, as on
+        Ethereum; the message names the total the charge asked for."""
         if amount < 0:
             raise ValueError("cannot charge negative gas")
-        self.used += amount
-        self.breakdown[label] = self.breakdown.get(label, 0) + amount
-        if self.used > self.gas_limit:
+        wanted = self.used + amount
+        charged = min(amount, self.gas_limit - self.used)
+        self.used += charged
+        self.breakdown[label] = self.breakdown.get(label, 0) + charged
+        if wanted > self.gas_limit:
             raise OutOfGas(
                 "gas limit %d exceeded (used %d at %r)"
-                % (self.gas_limit, self.used, label)
+                % (self.gas_limit, wanted, label)
             )
 
     # -- convenience wrappers matching contract idioms -----------------------

@@ -51,6 +51,7 @@ table).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -154,8 +155,12 @@ class Dragoon:
         :meth:`node_state` as the store's extra provider, so requester
         keys and the task serial ride every WAL record and snapshot: a
         crash at any block recovers the facade, not just the chain.
+        The store holds the method weakly (the chain already holds the
+        store), so a finished deployment is freed by reference counting
+        alone; journalling after the facade is gone raises
+        :class:`~repro.store.blockstore.StoreError`.
         """
-        store.extra_provider = self.node_state
+        store.extra_provider = weakref.WeakMethod(self.node_state)
         self.chain.attach_store(store)
 
     # ------------------------------------------------------------------

@@ -29,8 +29,9 @@ suite speak to it; ``curl -N`` can even consume a subscription stream.
 
 Push pump design: every subscription is its own task blocked on an
 :class:`asyncio.Event`; the node's write listener (registered via
-:meth:`RpcNode.add_write_listener`, fired by *any* mutating dispatch,
-loopback included) wakes them through ``call_soon_threadsafe``.  Each
+:meth:`RpcNode.add_write_listener` while the server runs and removed
+when it stops, fired by *any* mutating dispatch, loopback included)
+wakes them through ``call_soon_threadsafe``.  Each
 woken task pages ``RpcNode.read_events`` off-loop under the shared read
 lock and writes frames on the loop, so a slow subscriber only ever
 stalls itself.
@@ -121,7 +122,6 @@ class AsyncRpcServer:
         self._conn_tasks: Set[Any] = set()
         self._next_sid = count(1)
         self.pushed_frames = 0
-        node.add_write_listener(self._on_node_write)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -213,10 +213,14 @@ class AsyncRpcServer:
         self._ready.set()
         if self._ready_callback is not None:
             self._ready_callback(self)  # the CLI's "listening on" line
+        # Only while serving: the node would otherwise hold this server
+        # (and its loop state) alive for as long as the node lives.
+        self.node.add_write_listener(self._on_node_write)
         try:
             async with server:
                 await self._stop.wait()
         finally:
+            self.node.remove_write_listener(self._on_node_write)
             # Drain connections gracefully: closing their transports
             # EOFs every pending read, so handler tasks exit on their
             # own instead of being cancelled under the loop teardown.
@@ -235,7 +239,9 @@ class AsyncRpcServer:
                     )
                 except asyncio.TimeoutError:
                     pass
-            self._pool.shutdown(wait=False)
+            # Join the dispatch threads: one that has answered may not
+            # yet have dropped its work item, which holds the node.
+            self._pool.shutdown(wait=True)
             self._loop = None
 
     def _on_node_write(self) -> None:

@@ -335,30 +335,6 @@ class RpcNode:
         self._rejected = _AtomicCounter()
         self._lock = _RWLock()
         self._write_listeners: List[Callable[[], None]] = []
-        self._methods: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-            "rpc_version": self._rpc_version,
-            "chain_head": self._chain_head,
-            "chain_block": self._chain_block,
-            "chain_events": self._chain_events,
-            "chain_gas": self._chain_gas,
-            "chain_balance": self._chain_balance,
-            "chain_payments": self._chain_payments,
-            "chain_contract": self._chain_contract,
-            "chain_state_root": self._chain_state_root,
-            "chain_header": self._chain_header,
-            "get_proof": self._get_proof,
-            "chain_mine": self._chain_mine,
-            "tx_register": self._tx_register,
-            "tx_send": self._tx_send,
-            "tx_deploy": self._tx_deploy,
-            "tx_deploy_many": self._tx_deploy_many,
-            "node_status": self._node_status,
-            "node_metrics": self._node_metrics,
-            "node_checkpoint": self._node_checkpoint,
-            "node_prune": self._node_prune,
-            "swarm_put": self._swarm_put,
-            "swarm_get": self._swarm_get,
-        }
         #: A node that serves proofs also serves the headers they
         #: anchor to: enable the hash-chained header timeline and mint
         #: the genesis-anchored link for the state as loaded.  Plain
@@ -394,7 +370,16 @@ class RpcNode:
         the dispatching thread, outside the lock — they must be cheap
         and thread-safe (the async server's is ``call_soon_threadsafe``).
         """
-        self._write_listeners.append(listener)
+        self._write_listeners = self._write_listeners + [listener]
+
+    def remove_write_listener(self, listener: Callable[[], None]) -> None:
+        """Stop calling ``listener``; the async server drops its own on
+        shutdown, so the node does not keep a stopped server alive.
+        Both edits replace the list instead of mutating it, so a
+        dispatch iterating the old one on another thread is undisturbed."""
+        self._write_listeners = [
+            held for held in self._write_listeners if held != listener
+        ]
 
     def _notify_write(self) -> None:
         for listener in self._write_listeners:
@@ -507,7 +492,7 @@ class RpcNode:
         try:
             with trace_span("rpc.dispatch", method=method):
                 with lock:
-                    result = handler(params)
+                    result = handler(self, params)
             if not is_read:
                 self._notify_write()
         except _BadParams as exc:
@@ -887,3 +872,30 @@ class RpcNode:
         digest = _hex_bytes(params, "digest")
         return {"data": self.swarm.get(digest).hex()}
 
+    #: The method registry: wire name to handler function, called with
+    #: the node and the params.  Class-level, so a node holds no bound
+    #: methods of itself and dies with its last reference.
+    _methods: Dict[str, Callable[["RpcNode", Dict[str, Any]], Any]] = {
+        "rpc_version": _rpc_version,
+        "chain_head": _chain_head,
+        "chain_block": _chain_block,
+        "chain_events": _chain_events,
+        "chain_gas": _chain_gas,
+        "chain_balance": _chain_balance,
+        "chain_payments": _chain_payments,
+        "chain_contract": _chain_contract,
+        "chain_state_root": _chain_state_root,
+        "chain_header": _chain_header,
+        "get_proof": _get_proof,
+        "chain_mine": _chain_mine,
+        "tx_register": _tx_register,
+        "tx_send": _tx_send,
+        "tx_deploy": _tx_deploy,
+        "tx_deploy_many": _tx_deploy_many,
+        "node_status": _node_status,
+        "node_metrics": _node_metrics,
+        "node_checkpoint": _node_checkpoint,
+        "node_prune": _node_prune,
+        "swarm_put": _swarm_put,
+        "swarm_get": _swarm_get,
+    }

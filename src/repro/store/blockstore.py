@@ -25,7 +25,10 @@ through :func:`atomic_write` — temp file, fsync, rename — and embed
 both the Merkle-trie ``state_root`` (the cross-run identity anchor)
 and an ``encoding_hash`` over the embedded canonical bytes;
 :func:`load_snapshot` re-hashes the stored encoding and refuses a
-corrupted file.
+corrupted file.  The digest is a local integrity check that no header
+or light client reads, so it is sha256, like the WAL frame checksum:
+a snapshot starts with the magic ``DRGSNAP2``.  Snapshots written
+before carry ``DRGSNAP1`` and a keccak-256 digest; they still load.
 
 Durability bounds, precisely: against a **process kill** the loss is at
 most the un-sealed tail of the current block (WAL appends are flushed
@@ -51,13 +54,25 @@ from repro.errors import ReproError
 from repro.store import codec
 
 WAL_MAGIC = b"DRGWAL01"
-SNAPSHOT_MAGIC = b"DRGSNAP1"
+#: The magic :func:`save_snapshot` writes: a sha256 ``encoding_hash``.
+SNAPSHOT_MAGIC = b"DRGSNAP2"
+#: The earlier magic, read but never written: a keccak-256 digest.
+KECCAK_SNAPSHOT_MAGIC = b"DRGSNAP1"
 
 
 def _frame_checksum(payload: bytes) -> bytes:
     """Framing integrity only (torn-write detection), so the fast C
     hash is the right tool; keccak stays reserved for state roots."""
     return hashlib.sha256(payload).digest()[:4]
+
+
+def _encoding_hash(magic: bytes, encoded_state: bytes) -> bytes:
+    """A snapshot's integrity digest over its embedded encoding, as its
+    magic names it: sha256 for :data:`SNAPSHOT_MAGIC`, keccak-256 for
+    :data:`KECCAK_SNAPSHOT_MAGIC`."""
+    if magic == SNAPSHOT_MAGIC:
+        return hashlib.sha256(encoded_state).digest()
+    return keccak256(encoded_state)
 
 
 def atomic_write(path: str, blob: bytes) -> None:
@@ -371,7 +386,10 @@ def save_snapshot(
     the Merkle trie root (what headers, checkpoints, and light clients
     compare against) and ``encoding_hash`` pins the exact bytes of the
     canonical encoding stored in this file (the on-disk integrity
-    check ``load_snapshot`` verifies before decoding).
+    check ``load_snapshot`` verifies before decoding).  The file starts
+    with :data:`SNAPSHOT_MAGIC` (``DRGSNAP2``), whose ``encoding_hash``
+    is sha256; :func:`load_snapshot` also reads ``DRGSNAP1`` files,
+    whose digest is keccak-256.
     """
     state = codec.chain_state_to_data(chain)
     encoded_state = codec.encode(state)
@@ -380,7 +398,7 @@ def save_snapshot(
         {
             "schema": codec.SCHEMA_VERSION,
             "state_root": root,
-            "encoding_hash": keccak256(encoded_state),
+            "encoding_hash": _encoding_hash(SNAPSHOT_MAGIC, encoded_state),
             "height": chain.height,
             "runtime": runtime_state(),
             "extra": extra or {},
@@ -396,16 +414,17 @@ def load_snapshot(path: str) -> Tuple[Chain, Dict[str, Any]]:
     where meta carries ``state_root``, ``runtime``, and ``extra``."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if not blob.startswith(SNAPSHOT_MAGIC):
+    magic = blob[: len(SNAPSHOT_MAGIC)]
+    if magic not in (SNAPSHOT_MAGIC, KECCAK_SNAPSHOT_MAGIC):
         raise StoreError("%s is not a Dragoon snapshot" % path)
-    envelope = codec.decode(blob[len(SNAPSHOT_MAGIC) :])
+    envelope = codec.decode(blob[len(magic) :])
     if envelope["schema"] != codec.SCHEMA_VERSION:
         raise StoreError(
             "snapshot schema %r (this build reads %d)"
             % (envelope["schema"], codec.SCHEMA_VERSION)
         )
     encoded_state = envelope["state"]
-    if keccak256(encoded_state) != envelope["encoding_hash"]:
+    if _encoding_hash(magic, encoded_state) != envelope["encoding_hash"]:
         raise StoreError("snapshot %s fails its encoding_hash check" % path)
     chain = codec.decode_chain_state(encoded_state)
     meta = {

@@ -3,11 +3,12 @@
 Persistence needs two properties pickle cannot give:
 
 * **Determinism** — the same node state must always encode to the same
-  bytes, because the 32-byte ``state_root`` (keccak-256 over the
-  encoding) is the integrity anchor the whole subsystem hangs off:
-  snapshots embed it, ``NodeStore.open`` verifies it, and the
-  crash-recovery contract is "snapshot + WAL replay reaches the same
-  state_root as the live chain".
+  bytes, because the encoding feeds the 32-byte ``state_root`` (the
+  Merkle trie root over canonically encoded keys and values), the
+  integrity anchor the whole subsystem hangs off: snapshots embed it,
+  ``NodeStore.load`` verifies it, and the crash-recovery contract is
+  "snapshot + WAL replay reaches the same state_root as the live
+  chain".
 * **A versioned schema** — a state directory written by one revision
   must either load or fail loudly under another, never misparse.
 
@@ -56,7 +57,10 @@ from repro.ledger.ledger import Ledger, LedgerEntry
 #: Bump on any change to the encoding or the chain-state schema.
 #: v2: ``state_root`` moved from a flat hash of the canonical encoding
 #: to the Merkle trie root (``repro.store.trie``); snapshot envelopes
-#: carry both the trie root and an ``encoding_hash`` integrity digest.
+#: carry both the trie root and an ``encoding_hash`` integrity digest
+#: (sha256 under the ``DRGSNAP2`` magic, keccak-256 under the older
+#: ``DRGSNAP1``; the envelope's magic, not this version, names it).
+#: The version is itself a trie leaf, so a bump moves every root.
 SCHEMA_VERSION = 2
 
 

@@ -72,13 +72,23 @@ class NodeStore:
         self.state_dir = state_dir
         self.wal = BlockStore(os.path.join(state_dir, WAL_NAME))
         self._baseline: Optional[StateBaseline] = None
-        #: Optional zero-arg callable returning facade-level durable
-        #: state to ride along with every WAL record and snapshot
-        #: (wired by :meth:`repro.dragoon.Dragoon.attach_store`).
+        #: Optional weak reference to a zero-arg callable returning
+        #: facade-level durable state to ride along with every WAL
+        #: record and snapshot (a :class:`weakref.WeakMethod`, wired by
+        #: :meth:`repro.dragoon.Dragoon.attach_store`).  Weak because
+        #: the chain holds this store: a strong edge back to the facade
+        #: would keep a finished run alive until a full collection.
         self.extra_provider = None
 
     def _extra(self) -> Optional[Dict[str, Any]]:
-        return self.extra_provider() if self.extra_provider is not None else None
+        if self.extra_provider is None:
+            return None
+        provider = self.extra_provider()
+        if provider is None:
+            raise StoreError(
+                "the facade journalled to %s is gone" % self.state_dir
+            )
+        return provider()
 
     # ------------------------------------------------------------------
     # Lifecycle

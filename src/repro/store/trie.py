@@ -130,6 +130,29 @@ def _path_bit(path: int, bit: int) -> int:
     return (path >> (255 - bit)) & 1
 
 
+def _collect_dirty(
+    node: Any, leaves: List[_Leaf], waves: List[List[_Branch]]
+) -> int:
+    """Gather the dirty region under ``node``; returns its height.
+
+    Dirty leaves land in ``leaves`` left to right; a dirty branch of
+    height h lands in ``waves[h - 1]``.  A plain function over argument
+    lists, not a closure over itself: a recursive closure would leave a
+    function-cell cycle per root holding every node it gathered."""
+    if isinstance(node, _Leaf):
+        leaves.append(node)
+        return 0
+    below = 0
+    if node.left.hash is None:
+        below = _collect_dirty(node.left, leaves, waves)
+    if node.right.hash is None:
+        below = max(below, _collect_dirty(node.right, leaves, waves))
+    if below == len(waves):
+        waves.append([])
+    waves[below].append(node)
+    return below + 1
+
+
 class MerkleTrie:
     """A path-compressed binary trie with cached keccak node hashes.
 
@@ -285,22 +308,7 @@ class MerkleTrie:
         leaves: List[_Leaf] = []
         # waves[h - 1] holds the dirty branches of height h.
         waves: List[List[_Branch]] = []
-
-        def height(node: Any) -> int:
-            if isinstance(node, _Leaf):
-                leaves.append(node)
-                return 0
-            below = 0
-            if node.left.hash is None:
-                below = height(node.left)
-            if node.right.hash is None:
-                below = max(below, height(node.right))
-            if below == len(waves):
-                waves.append([])
-            waves[below].append(node)
-            return below + 1
-
-        height(top)
+        _collect_dirty(top, leaves, waves)
         if leaves:
             value_digests = keccak256_many([leaf.value for leaf in leaves])
             leaf_digests = keccak256_many([

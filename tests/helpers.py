@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from repro.chain.transactions import scoped_tx_nonces
+from repro.core.protocol import run_hit
 from repro.core.task import HITTask, TaskParameters
+from repro.crypto.rng import deterministic_entropy
 
 
 def small_task(
@@ -33,3 +36,10 @@ def small_task(
         gold_answers,
         ground_truth,
     )
+
+
+def seeded_outcome():
+    """A seeded two-worker HIT (one accepted, one rejected worker); its
+    ``state_root`` is pinned as ``GOLDEN_SEEDED_ROOT``."""
+    with scoped_tx_nonces(), deterministic_entropy(7):
+        return run_hit(small_task(), [[0] * 10, [1] * 10])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -170,13 +172,14 @@ def test_checkpoint_without_store_is_a_store_error():
     assert "state directory" in str(err.value)
 
 
-def test_client_refuses_incompatible_server_version():
+def test_client_refuses_incompatible_server_version(monkeypatch):
     node = RpcNode()
     transport = LoopbackTransport(node)
-    original = node._rpc_version
-    node._methods["rpc_version"] = lambda params: {
-        **original(params), "protocol": 999
-    }
+    original = RpcNode._methods["rpc_version"]
+    monkeypatch.setitem(
+        RpcNode._methods, "rpc_version",
+        lambda node, params: {**original(node, params), "protocol": 999},
+    )
     with pytest.raises(RpcError) as err:
         RpcChain(transport).rpc.version()
     assert "protocol" in str(err.value)
@@ -208,6 +211,28 @@ def test_shutdown_stops_a_serve_forever_server():
     runner.join(timeout=10)
     assert not runner.is_alive(), "serve_forever did not stop"
     server.shutdown()  # idempotent: a second call must not deadlock
+
+
+def test_a_stopped_servers_node_is_freed_by_reference_counting():
+    """Neither the node's method table nor the server's write listener
+    ties the node into a reference cycle: once the server's context
+    exits, dropping the node frees its chain with the cycle collector
+    off."""
+    gc.collect()
+    gc.disable()
+    try:
+        node = RpcNode()
+        with AsyncRpcServer(node, dispatch_threads=1) as server:
+            transport = HttpTransport(server.url)
+            chain = RpcChain(transport)
+            chain.register_account("alice", 10)
+            chain.mine_block()
+            transport.close()
+        live = weakref.ref(node.chain)
+        del node, server, chain
+        assert live() is None
+    finally:
+        gc.enable()
 
 
 def test_shutdown_before_serving_does_not_deadlock():

@@ -162,6 +162,29 @@ def test_oversized_transaction_gets_a_failed_receipt_in_its_block(chain):
     assert contract.storage["count"] == 2
 
 
+def test_out_of_gas_charges_exactly_the_gas_limit(chain):
+    """An out-of-gas tx pays its gas limit, as on Ethereum, not the
+    37,000 its calldata asked for; the revert reason still names the
+    total that exceeded the limit."""
+    _deploy(chain)
+    user = chain.registry.lookup("user")
+    before = chain.gas_by_sender.get(user, 0)
+    chain.mempool.submit(
+        Transaction(
+            sender=user, contract="counter", method="increment",
+            payload=b"\x01" * 1000, gas_limit=30_000,
+        )
+    )
+    receipt = chain.mine_block().receipts[0]
+    assert not receipt.succeeded
+    assert receipt.revert_reason == (
+        "gas limit 30000 exceeded (used 37000 at 'calldata')"
+    )
+    assert receipt.gas_used == 30_000
+    assert sum(receipt.gas_breakdown.values()) == 30_000
+    assert chain.gas_by_sender[user] - before == 30_000
+
+
 def test_send_to_unknown_contract(chain):
     with pytest.raises(ChainError):
         chain.send(chain.registry.lookup("user"), "ghost", "noop")

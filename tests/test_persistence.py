@@ -19,8 +19,11 @@ The acceptance contract of the persistence subsystem (PR 4):
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import os
 import pickle
+import weakref
 
 import pytest
 
@@ -31,12 +34,21 @@ from repro.chain.transactions import (
     scoped_tx_nonces,
 )
 from repro.core.task import HITTask, TaskParameters
+from repro.crypto.keccak import keccak256
 from repro.crypto.rng import DeterministicStream, deterministic_entropy, entropy
 from repro.dragoon import Dragoon
 from repro.sim import preset, resume_scenario, run_scenario
 from repro.sim.runner import InterruptedRun
-from repro.store import NodeStore, StoreError, state_root
-from repro.store.blockstore import BlockStore
+from repro.store import (
+    NodeStore,
+    StoreError,
+    codec,
+    load_snapshot,
+    save_snapshot,
+    state_root,
+)
+from repro.store.blockstore import BlockStore, runtime_state
+from tests.helpers import seeded_outcome
 
 
 def tiny_task() -> HITTask:
@@ -234,6 +246,125 @@ def test_node_state_round_trip_keeps_requester_keys(tmp_path):
         # The new task's contract name continued the serial — no clash.
         assert outcome.contract.name == "hit:alice:1"
         assert state_root(store.load()[0]) == state_root(revived.chain)
+
+
+# ---------------------------------------------------------------------------
+# Snapshot envelopes: DRGSNAP2 (sha256) written, DRGSNAP1 (keccak) read
+# ---------------------------------------------------------------------------
+
+
+def write_keccak_snapshot(path: str, chain: Chain, extra=None) -> bytes:
+    """Write ``chain`` the way builds before the sha256 envelope did:
+    magic ``DRGSNAP1`` and a keccak-256 ``encoding_hash``."""
+    encoded_state = codec.encode(codec.chain_state_to_data(chain))
+    root = state_root(chain)
+    blob = b"DRGSNAP1" + codec.encode(
+        {
+            "schema": codec.SCHEMA_VERSION,
+            "state_root": root,
+            "encoding_hash": keccak256(encoded_state),
+            "height": chain.height,
+            "runtime": runtime_state(),
+            "extra": extra or {},
+            "state": encoded_state,
+        }
+    )
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    return root
+
+
+def test_keccak_snapshots_still_load_and_new_ones_are_sha256(tmp_path):
+    chain = seeded_outcome().chain
+    legacy = str(tmp_path / "legacy.bin")
+    root = write_keccak_snapshot(legacy, chain)
+    restored, meta = load_snapshot(legacy)
+    assert meta["state_root"] == root
+    assert state_root(restored) == root
+
+    current = str(tmp_path / "current.bin")
+    assert save_snapshot(current, chain) == root
+    old_blob = open(legacy, "rb").read()
+    new_blob = open(current, "rb").read()
+    assert new_blob.startswith(b"DRGSNAP2")
+    # Same envelope, same length: only the magic and the digest differ.
+    assert len(new_blob) == len(old_blob)
+    old_envelope = codec.decode(old_blob[8:])
+    new_envelope = codec.decode(new_blob[8:])
+    assert new_envelope["encoding_hash"] == hashlib.sha256(
+        new_envelope["state"]
+    ).digest()
+    assert {**new_envelope, "encoding_hash": None} == {
+        **old_envelope, "encoding_hash": None
+    }
+
+    with open(legacy, "wb") as handle:
+        handle.write(old_blob[:-1] + bytes([old_blob[-1] ^ 0xFF]))
+    with pytest.raises(StoreError, match="encoding_hash"):
+        load_snapshot(legacy)
+
+    with open(current, "wb") as handle:
+        handle.write(b"DRGSNAP9" + new_blob[8:])
+    with pytest.raises(StoreError, match="not a Dragoon snapshot"):
+        load_snapshot(current)
+
+
+def test_a_store_on_a_keccak_snapshot_replays_and_moves_to_sha256(tmp_path):
+    """A state dir whose current snapshot an older build wrote still
+    loads, WAL tail included; its next save writes the new envelope."""
+    store = NodeStore.init(str(tmp_path / "node"))
+    with scoped_tx_nonces(), deterministic_entropy(3):
+        dragoon = Dragoon()
+        dragoon.attach_store(store)
+        run_one_task(dragoon)
+        store.save(dragoon.chain)
+        snapshot = os.path.join(store.state_dir, store.manifest()["snapshot"])
+        write_keccak_snapshot(
+            snapshot, dragoon.chain, extra=dragoon.node_state()
+        )
+        dragoon.run_task("alice", tiny_task(), [[0] * 10, [0] * 10])
+        live_root = state_root(dragoon.chain)
+        restored, meta = store.load()
+        assert open(snapshot, "rb").read(8) == b"DRGSNAP1"
+        assert meta["replayed"] > 0
+        assert state_root(restored) == live_root
+        assert meta["extra"] == dragoon.node_state()
+        store.save(dragoon.chain)
+    snapshot = os.path.join(store.state_dir, store.manifest()["snapshot"])
+    assert open(snapshot, "rb").read(8) == b"DRGSNAP2"
+    assert state_root(store.load()[0]) == live_root
+
+
+def test_a_finished_durable_run_is_freed_by_reference_counting(tmp_path):
+    """The store holds the facade weakly, so nothing of a journalled,
+    checkpointed run is left in a reference cycle: dropping the run
+    frees its chain with the cycle collector off."""
+    scenario = preset("poisson", seed=2, tasks=3)
+    gc.collect()
+    gc.disable()
+    try:
+        run = run_scenario(
+            scenario,
+            keep_objects=True,
+            store=NodeStore.init(str(tmp_path / "node")),
+            checkpoint_every=2,
+        )
+        live = weakref.ref(run.dragoon.chain)
+        del run
+        assert live() is None
+    finally:
+        gc.enable()
+
+
+def test_journalling_after_the_facade_is_gone_is_refused(tmp_path):
+    store = NodeStore.init(str(tmp_path / "node"))
+    dragoon = Dragoon()
+    dragoon.attach_store(store)
+    chain = dragoon.chain
+    del dragoon
+    gc.collect()
+    with pytest.raises(StoreError, match="facade"):
+        store.save(chain)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chain.chain import Chain
 from repro.chain.contract import CallContext, Contract
-from repro.chain.transactions import scoped_tx_nonces
-from repro.core.protocol import run_hit
 from repro.crypto.keccak import keccak256
-from repro.crypto.rng import deterministic_entropy
 from repro.store import codec, trie
 from repro.store.trie import (
     EMPTY_ROOT,
@@ -39,18 +36,13 @@ from repro.store.trie import (
     chain_state_trie,
     verify_proof,
 )
-from tests.helpers import small_task
+from tests.helpers import seeded_outcome
 
-#: ``state_root`` of the seeded two-worker HIT below, pinned as bytes.
+#: ``state_root`` of ``seeded_outcome()``'s chain, pinned as bytes.
 #: Moves only on a deliberate trie/codec schema change.
 GOLDEN_SEEDED_ROOT = (
     "a0c939d245d88d8171b0f5e06364e236bde82c63a8ad83f711c9e18d902bf0b3"
 )
-
-
-def seeded_outcome():
-    with scoped_tx_nonces(), deterministic_entropy(7):
-        return run_hit(small_task(), [[0] * 10, [1] * 10])
 
 
 # ---------------------------------------------------------------------------
