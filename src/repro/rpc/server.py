@@ -335,6 +335,7 @@ class RpcNode:
         self._rejected = _AtomicCounter()
         self._lock = _RWLock()
         self._write_listeners: List[Callable[[], None]] = []
+        self._listeners_edit = threading.Lock()
         #: A node that serves proofs also serves the headers they
         #: anchor to: enable the hash-chained header timeline and mint
         #: the genesis-anchored link for the state as loaded.  Plain
@@ -370,16 +371,19 @@ class RpcNode:
         the dispatching thread, outside the lock — they must be cheap
         and thread-safe (the async server's is ``call_soon_threadsafe``).
         """
-        self._write_listeners = self._write_listeners + [listener]
+        with self._listeners_edit:
+            self._write_listeners = self._write_listeners + [listener]
 
     def remove_write_listener(self, listener: Callable[[], None]) -> None:
         """Stop calling ``listener``; the async server drops its own on
         shutdown, so the node does not keep a stopped server alive.
-        Both edits replace the list instead of mutating it, so a
-        dispatch iterating the old one on another thread is undisturbed."""
-        self._write_listeners = [
-            held for held in self._write_listeners if held != listener
-        ]
+        Both edits replace the list under a lock instead of mutating
+        it: a dispatch iterating the old list on another thread is
+        undisturbed, and concurrent edits lose nothing."""
+        with self._listeners_edit:
+            self._write_listeners = [
+                held for held in self._write_listeners if held != listener
+            ]
 
     def _notify_write(self) -> None:
         for listener in self._write_listeners:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 import threading
 import weakref
 
@@ -233,6 +234,37 @@ def test_a_stopped_servers_node_is_freed_by_reference_counting():
         assert live() is None
     finally:
         gc.enable()
+
+
+def test_concurrent_write_listener_edits_lose_nothing():
+    """Servers on other threads add and remove their listeners while
+    dispatches read the list: eight threads churning listeners under a
+    tiny switch interval must leave exactly the ones they kept."""
+    node = RpcNode()
+    kept = [[] for _ in range(8)]
+
+    def churn(mine):
+        for _ in range(100):
+            stays, goes = (lambda: None), (lambda: None)
+            node.add_write_listener(stays)
+            node.add_write_listener(goes)
+            node.remove_write_listener(goes)
+            mine.append(stays)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(m,)) for m in kept]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = {id(listener) for mine in kept for listener in mine}
+    assert len(expected) == 800
+    assert {id(listener) for listener in node._write_listeners} == expected
 
 
 def test_shutdown_before_serving_does_not_deadlock():

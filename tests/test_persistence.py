@@ -274,18 +274,21 @@ def write_keccak_snapshot(path: str, chain: Chain, extra=None) -> bytes:
     return root
 
 
+def _magic(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read(8)
+
+
 def test_keccak_snapshots_still_load_and_new_ones_are_sha256(tmp_path):
     chain = seeded_outcome().chain
-    legacy = str(tmp_path / "legacy.bin")
-    root = write_keccak_snapshot(legacy, chain)
-    restored, meta = load_snapshot(legacy)
+    legacy, current = tmp_path / "legacy.bin", tmp_path / "current.bin"
+    root = write_keccak_snapshot(str(legacy), chain)
+    restored, meta = load_snapshot(str(legacy))
     assert meta["state_root"] == root
     assert state_root(restored) == root
 
-    current = str(tmp_path / "current.bin")
-    assert save_snapshot(current, chain) == root
-    old_blob = open(legacy, "rb").read()
-    new_blob = open(current, "rb").read()
+    assert save_snapshot(str(current), chain) == root
+    old_blob, new_blob = legacy.read_bytes(), current.read_bytes()
     assert new_blob.startswith(b"DRGSNAP2")
     # Same envelope, same length: only the magic and the digest differ.
     assert len(new_blob) == len(old_blob)
@@ -298,15 +301,13 @@ def test_keccak_snapshots_still_load_and_new_ones_are_sha256(tmp_path):
         **old_envelope, "encoding_hash": None
     }
 
-    with open(legacy, "wb") as handle:
-        handle.write(old_blob[:-1] + bytes([old_blob[-1] ^ 0xFF]))
+    legacy.write_bytes(old_blob[:-1] + bytes([old_blob[-1] ^ 0xFF]))
     with pytest.raises(StoreError, match="encoding_hash"):
-        load_snapshot(legacy)
+        load_snapshot(str(legacy))
 
-    with open(current, "wb") as handle:
-        handle.write(b"DRGSNAP9" + new_blob[8:])
+    current.write_bytes(b"DRGSNAP9" + new_blob[8:])
     with pytest.raises(StoreError, match="not a Dragoon snapshot"):
-        load_snapshot(current)
+        load_snapshot(str(current))
 
 
 def test_a_store_on_a_keccak_snapshot_replays_and_moves_to_sha256(tmp_path):
@@ -325,13 +326,13 @@ def test_a_store_on_a_keccak_snapshot_replays_and_moves_to_sha256(tmp_path):
         dragoon.run_task("alice", tiny_task(), [[0] * 10, [0] * 10])
         live_root = state_root(dragoon.chain)
         restored, meta = store.load()
-        assert open(snapshot, "rb").read(8) == b"DRGSNAP1"
+        assert _magic(snapshot) == b"DRGSNAP1"
         assert meta["replayed"] > 0
         assert state_root(restored) == live_root
         assert meta["extra"] == dragoon.node_state()
         store.save(dragoon.chain)
     snapshot = os.path.join(store.state_dir, store.manifest()["snapshot"])
-    assert open(snapshot, "rb").read(8) == b"DRGSNAP2"
+    assert _magic(snapshot) == b"DRGSNAP2"
     assert state_root(store.load()[0]) == live_root
 
 
