@@ -4,9 +4,10 @@ Before the Merkleized state tree, ``state_root`` was a keccak over the
 *entire* canonical state encoding — every root read re-encoded and
 re-hashed every account, block, and event, which priced the per-block
 WAL stamp and every ``chain_state_root`` RPC at O(state).  The trie
-tracker re-encodes only the diffable live domain and re-hashes only the
-dirty paths, so a point mutation costs O(log n) hashing no matter how
-large the chain grows.
+tracker diffs the live state against its own baseline (the WAL's
+differ), encodes only what changed and re-hashes only the dirty paths,
+so a point mutation costs one walk of the live state plus O(log n)
+hashing, however long the history grows.
 
 Columns, per account-set size:
 

@@ -89,14 +89,16 @@ class EventLog:
         self._records: List[EventRecord] = []
         #: Sequence number of ``_records[0]`` (> 0 once pruned).
         self._base = 0
-        self._subscriptions: "weakref.WeakSet[Subscription]" = weakref.WeakSet()
+        #: Live subscriptions, in creation order: a ``WeakSet`` iterates
+        #: in address order, so checkpoints would pickle differently.
+        self._subscriptions = weakref.WeakKeyDictionary()
 
     def __getstate__(self) -> dict:
         """Pickle support (checkpoint/resume): weak references cannot be
         pickled, so live subscriptions travel as a strong list and the
-        weak set is rebuilt on restore.  Subscriptions are shared with
-        their owners through the pickle memo, so a restored session's
-        cursor and the restored log agree on position."""
+        weak mapping is rebuilt on restore.  Subscriptions are shared
+        with their owners through the pickle memo, so a restored
+        session's cursor and the restored log agree on position."""
         state = dict(self.__dict__)
         state["_subscriptions"] = list(self._subscriptions)
         return state
@@ -104,9 +106,9 @@ class EventLog:
     def __setstate__(self, state: dict) -> None:
         subscriptions = state.pop("_subscriptions")
         self.__dict__.update(state)
-        self._subscriptions = weakref.WeakSet()
-        for subscription in subscriptions:
-            self._subscriptions.add(subscription)
+        self._subscriptions = weakref.WeakKeyDictionary(
+            dict.fromkeys(subscriptions)
+        )
 
     def append(self, block_number: int, event: Event) -> EventRecord:
         """Record one emitted event (called by the chain, never clients)."""
@@ -183,7 +185,7 @@ class EventLog:
         subscription = Subscription(
             self, filter, cursor=self._base if from_start else len(self)
         )
-        self._subscriptions.add(subscription)
+        self._subscriptions[subscription] = None
         return subscription
 
     def prune(self, through: Optional[int] = None) -> int:

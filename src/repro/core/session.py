@@ -224,6 +224,14 @@ class HITSession:
             )
         self._published_event = published[0]
 
+    def __getstate__(self) -> dict:
+        """Checkpoints carry no clock reading: ``_phase_entered`` would
+        make two runs' pickles differ, and means nothing in the process
+        that resumes (its first transition observes zero seconds)."""
+        state = dict(self.__dict__)
+        state.pop("_phase_entered", None)
+        return state
+
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------

@@ -50,30 +50,6 @@ from repro.rpc import wire
 #: One chain_events page requested by the client-side cursors.
 EVENT_PAGE = 256
 
-#: Methods a transport may transparently resend after a connection
-#: failure: pure reads, where a lost response costs nothing.  A failed
-#: *mutation* (tx_send, chain_mine, ...) must surface instead — the
-#: server may have processed it even though the response never arrived,
-#: and a blind resend would submit it twice.
-IDEMPOTENT_METHODS = frozenset(
-    {
-        "rpc_version",
-        "chain_head",
-        "chain_block",
-        "chain_events",
-        "chain_gas",
-        "chain_balance",
-        "chain_payments",
-        "chain_contract",
-        "chain_state_root",
-        "chain_header",
-        "get_proof",
-        "node_status",
-        "swarm_get",
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # Transports
 # ---------------------------------------------------------------------------
@@ -335,7 +311,7 @@ class RpcSession:
         self._next_id += 1
         raw = self.transport.request(
             wire.request(method, params or None, self._next_id, auth=self.auth),
-            idempotent=method in IDEMPOTENT_METHODS,
+            idempotent=method in wire.READ_METHODS,
         )
         try:
             envelope = json.loads(raw.decode("utf-8"))
@@ -357,7 +333,7 @@ class RpcSession:
         idempotent = True
         for method, params in calls:
             self._next_id += 1
-            idempotent = idempotent and method in IDEMPOTENT_METHODS
+            idempotent = idempotent and method in wire.READ_METHODS
             batch.append(
                 wire.request_value(
                     method, params or None, self._next_id, auth=self.auth
@@ -398,7 +374,7 @@ class AsyncRpcSession:
         self._next_id += 1
         raw = await self.transport.request(
             wire.request(method, params or None, self._next_id, auth=self.auth),
-            idempotent=method in IDEMPOTENT_METHODS,
+            idempotent=method in wire.READ_METHODS,
         )
         try:
             envelope = json.loads(raw.decode("utf-8"))
@@ -416,7 +392,7 @@ class AsyncRpcSession:
         idempotent = True
         for method, params in calls:
             self._next_id += 1
-            idempotent = idempotent and method in IDEMPOTENT_METHODS
+            idempotent = idempotent and method in wire.READ_METHODS
             batch.append(
                 wire.request_value(
                     method, params or None, self._next_id, auth=self.auth

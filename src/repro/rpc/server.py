@@ -72,7 +72,7 @@ from repro.store import codec
 from repro.store import trie as state_trie
 from repro.store.blockstore import StoreError
 from repro.rpc import wire
-from repro.rpc.wire import WireError
+from repro.rpc.wire import READ_METHODS, WireError
 
 _RPC_REQUESTS = _obs.REGISTRY.counter(
     "rpc_requests_total",
@@ -106,27 +106,6 @@ MAX_REQUEST_BYTES = 2 * 1024 * 1024
 MAX_EVENT_PAGE = 512
 #: Hard ceiling on requests per batch envelope.
 MAX_BATCH_REQUESTS = 128
-
-#: Methods that only read node state: dispatched under the shared side
-#: of the node lock, so they never serialize behind each other.
-READ_METHODS = frozenset(
-    {
-        "rpc_version",
-        "chain_head",
-        "chain_block",
-        "chain_events",
-        "chain_gas",
-        "chain_balance",
-        "chain_payments",
-        "chain_contract",
-        "chain_state_root",
-        "chain_header",
-        "get_proof",
-        "node_status",
-        "node_metrics",
-        "swarm_get",
-    }
-)
 
 #: Methods only an admin token may call once auth is configured.
 ADMIN_METHODS = frozenset({"chain_mine", "node_checkpoint", "node_prune"})

@@ -77,6 +77,30 @@ UNAUTHORIZED = -32002
 #: Method name of a server-push notification frame.
 PUSH_METHOD = "rpc_push"
 
+#: Methods that only read node state.  The server dispatches them under
+#: the shared side of its lock, and a client transport may resend them
+#: after a connection failure: a lost response costs nothing.  A failed
+#: *mutation* (tx_send, chain_mine, ...) must surface instead, since the
+#: server may have processed it and a blind resend would submit it twice.
+READ_METHODS = frozenset(
+    {
+        "rpc_version",
+        "chain_head",
+        "chain_block",
+        "chain_events",
+        "chain_gas",
+        "chain_balance",
+        "chain_payments",
+        "chain_contract",
+        "chain_state_root",
+        "chain_header",
+        "get_proof",
+        "node_status",
+        "node_metrics",
+        "swarm_get",
+    }
+)
+
 #: Library error families, most specific first (the server walks this
 #: list with ``isinstance``, so a subclass — e.g. ``OutOfGas`` — lands
 #: on its family's code with its concrete class name in ``data.kind``).

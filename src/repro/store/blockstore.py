@@ -13,7 +13,9 @@ escrow, contract storage upserts/deletes, newly deployed contracts, gas
 tallies, the clock, the event-log compaction base, the process-wide
 transaction-nonce position, and the deterministic-entropy position.
 Replay applies effects; it never re-executes transactions, so recovery
-cannot diverge from what the crashed node actually computed.
+cannot diverge from what the crashed node actually computed.  What a
+block changed is :class:`StateBaseline`'s diff, which the state trie
+syncs from too; it compares values as the codec encodes them.
 
 Framing: ``[4-byte length][4-byte checksum][payload]`` per record,
 payload encoded by :mod:`repro.store.codec`.  A torn tail
@@ -42,11 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.chain.blocks import Block
 from repro.chain.chain import Chain
-from repro.chain.contract import snapshot_storage
+from repro.chain.contract import snapshot_value
 from repro.chain.transactions import nonce_position
 from repro.crypto.keccak import keccak256
 from repro.crypto.rng import entropy
@@ -114,7 +116,9 @@ class BlockStore:
                 # torn record.  Appending after it would strand every
                 # later record behind the tear (replay stops there), so
                 # cut the log back to its last intact record first.
-                end = self._intact_end()
+                end = len(WAL_MAGIC)
+                for end, _payload in self._frames():
+                    pass
                 if end < os.path.getsize(self.path):
                     with open(self.path, "r+b") as handle:
                         handle.truncate(end)
@@ -124,21 +128,23 @@ class BlockStore:
                 self._handle.flush()
         return self._handle
 
-    def _intact_end(self) -> int:
-        """The byte offset just past the last intact record."""
+    def _frames(self) -> Iterator[Tuple[int, bytes]]:
+        """``(end offset, payload)`` of each intact record, in order,
+        stopping silently at a torn or corrupted tail."""
+        if not os.path.exists(self.path):
+            return
         with open(self.path, "rb") as handle:
             data = handle.read()
-        if not data.startswith(WAL_MAGIC):
+        if data and not data.startswith(WAL_MAGIC):
             raise StoreError("%s is not a Dragoon WAL" % self.path)
         pos = len(WAL_MAGIC)
         while pos + 8 <= len(data):
-            length = int.from_bytes(data[pos : pos + 4], "big")
-            checksum = data[pos + 4 : pos + 8]
-            end = pos + 8 + length
-            if end > len(data) or _frame_checksum(data[pos + 8 : end]) != checksum:
-                break
+            end = pos + 8 + int.from_bytes(data[pos : pos + 4], "big")
+            checksum, payload = data[pos + 4 : pos + 8], data[pos + 8 : end]
+            if end > len(data) or _frame_checksum(payload) != checksum:
+                return  # torn tail: a crash interrupted this append
+            yield end, payload
             pos = end
-        return pos
 
     def append(self, record: Dict[str, Any]) -> None:
         """Journal one record, flushed before returning.
@@ -171,65 +177,123 @@ class BlockStore:
 
     def records(self) -> Iterator[Dict[str, Any]]:
         """Yield intact records in order; stop silently at a torn tail."""
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as handle:
-            data = handle.read()
-        if not data:
-            return
-        if not data.startswith(WAL_MAGIC):
-            raise StoreError("%s is not a Dragoon WAL" % self.path)
-        pos = len(WAL_MAGIC)
-        while pos + 8 <= len(data):
-            length = int.from_bytes(data[pos : pos + 4], "big")
-            checksum = data[pos + 4 : pos + 8]
-            start = pos + 8
-            end = start + length
-            if end > len(data):
-                return  # torn tail: the crash interrupted this append
-            payload = data[start:end]
-            if _frame_checksum(payload) != checksum:
-                return  # corrupted tail record
+        for _end, payload in self._frames():
             yield codec.decode(payload)
-            pos = end
 
     def __len__(self) -> int:
         return sum(1 for _ in self.records())
 
 
 # ---------------------------------------------------------------------------
-# Per-block effect records
+# The state differ and per-block effect records
 # ---------------------------------------------------------------------------
+
+_ABSENT = object()
+
+#: ``(sets, dels)``: the live value of every key that is new or whose
+#: encoding changed, and the keys that are gone.  A :data:`StateDiff`
+#: holds one per namespace of :func:`_namespaces`, plus ``"entries"``
+#: (new ledger entries by index: append-only, so counted, not walked).
+Delta = Tuple[Dict[Any, Any], List[Any]]
+StateDiff = Dict[str, Delta]
+
+
+def same_encoding(old: Any, new: Any) -> bool:
+    """Whether ``codec.encode(old) == codec.encode(new)``: unlike ``==``,
+    types must match and dict order counts, so ``1`` and ``True``
+    differ.  A shared object is the same without a look inside."""
+    if old is new:
+        return True
+    kind = type(old)
+    if kind is not type(new):
+        return False
+    if kind is list or kind is tuple:
+        return len(old) == len(new) and all(map(same_encoding, old, new))
+    if kind is dict:
+        return same_encoding(list(old.items()), list(new.items()))
+    return codec.encode(old) == codec.encode(new)
+
+
+def _delta(live: Dict[Any, Any], base: Dict[Any, Any]) -> Delta:
+    sets = {
+        key: value
+        for key, value in live.items()
+        if not same_encoding(base.get(key, _ABSENT), value)
+    }
+    return sets, [key for key in base if key not in live]
+
+
+def _namespaces(chain: Chain) -> Dict[str, Dict[Any, Any]]:
+    """The chain's diffable state, one flat dict per namespace."""
+    ledger = chain.ledger
+    contracts = chain._contracts
+    return {
+        "meta": {
+            "schema": codec.SCHEMA_VERSION,
+            "period": chain.clock.period,
+            "scheduler": codec.scheduler_kind(chain),
+            "fees": ledger._fees_collected,
+            "event_base": chain.event_log.pruned,
+        },
+        "registry": {address: address.label for address in chain.registry},
+        "balances": ledger._balances,
+        "escrow": ledger._escrow,
+        "gas": chain.gas_by_sender,
+        "contracts": {name: type(c).__name__ for name, c in contracts.items()},
+        "storage": {
+            (name, slot): value
+            for name, contract in contracts.items()
+            for slot, value in contract.storage.items()
+        },
+    }
 
 
 class StateBaseline:
-    """What the chain looked like after the previous sealed block.
+    """The chain as of the last capture: the one "what changed?" differ.
 
-    The differ compares the live chain against this to produce one
-    block's physical effect record, then refreshes.  Captures are
-    proportional to live state and taken once per block, which a
-    simulation chain easily affords.  Contract storage is captured with
-    :func:`~repro.chain.contract.snapshot_storage` (deep over mutable
-    containers): a shallow ``dict(storage)`` would alias a stored list
-    or dict mutated in place, making it compare equal to itself and
-    vanish from the WAL delta.
+    :func:`block_record` diffs the WAL's baseline once per sealed block;
+    :class:`~repro.store.trie.ChainStateTrie` diffs its own per sync.
+    Values are copied with :func:`~repro.chain.contract.snapshot_value`,
+    deep over mutable containers, so a stored list mutated in place, or
+    a key removed outside any transaction, still shows in the next diff.
     """
 
-    def __init__(self, chain: Chain) -> None:
-        self.capture(chain)
+    def __init__(self, chain: Optional[Chain] = None) -> None:
+        #: namespace -> {key: copy of its value at the last capture}
+        self.namespaces: Dict[str, Dict[Any, Any]] = {}
+        self.entry_count = 0
+        if chain is not None:
+            self.capture(chain)
 
     def capture(self, chain: Chain) -> None:
-        self.ledger_balances = dict(chain.ledger._balances)
-        self.ledger_escrow = dict(chain.ledger._escrow)
-        self.ledger_fees = chain.ledger._fees_collected
-        self.ledger_entry_count = len(chain.ledger._entries)
-        self.gas_by_sender = dict(chain.gas_by_sender)
-        self.contract_names = list(chain._contracts)
-        self.contract_storage = {
-            name: snapshot_storage(contract.storage)
-            for name, contract in chain._contracts.items()
+        """Catch up with ``chain``."""
+        self.advance(self.diff(chain))
+
+    def diff(self, chain: Chain) -> StateDiff:
+        """The live chain against this baseline; changes neither."""
+        diff = {
+            name: _delta(live, self.namespaces.get(name, {}))
+            for name, live in _namespaces(chain).items()
         }
-        self.registry_size = len(chain.registry)
+        entries = chain.ledger._entries
+        count = self.entry_count
+        diff["entries"] = (
+            dict(enumerate(entries[count:], count)),
+            list(range(len(entries), count)),
+        )
+        return diff
+
+    def advance(self, diff: StateDiff) -> None:
+        """Move the baseline past ``diff``."""
+        for name, (sets, dels) in diff.items():
+            if name == "entries":
+                self.entry_count += len(sets) - len(dels)
+                continue
+            base = self.namespaces.setdefault(name, {})
+            for key, value in sets.items():
+                base[key] = snapshot_value(value)
+            for key in dels:
+                del base[key]
 
 
 def runtime_state() -> Dict[str, Any]:
@@ -246,49 +310,21 @@ def block_record(
     baseline: StateBaseline,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """One WAL record: the block plus everything it changed.
+    """One WAL record: the block plus everything it changed since
+    ``baseline``, which then advances past it.
 
     ``extra`` carries facade-level durable state (e.g.
     :meth:`repro.dragoon.Dragoon.node_state` — requester keys and the
     task-name serial) so a crash between snapshots loses none of it:
     recovery takes the last journalled value, not the snapshot's."""
-    ledger = chain.ledger
-    balance_sets = {
-        address: balance
-        for address, balance in ledger._balances.items()
-        if baseline.ledger_balances.get(address) != balance
-    }
-    escrow_sets = {
-        address: held
-        for address, held in ledger._escrow.items()
-        if baseline.ledger_escrow.get(address) != held
-    }
-    gas_sets = {
-        address: gas
-        for address, gas in chain.gas_by_sender.items()
-        if baseline.gas_by_sender.get(address) != gas
-    }
-    new_contracts = [
-        {"type": type(chain._contracts[name]).__name__, "name": name}
-        for name in chain._contracts
-        if name not in baseline.contract_storage
-    ]
-    storage_deltas: Dict[str, Dict[str, Any]] = {}
-    for name, contract in chain._contracts.items():
-        before = baseline.contract_storage.get(name, {})
-        sets = {
-            key: value
-            for key, value in contract.storage.items()
-            if key not in before or before[key] != value
-        }
-        dels = [key for key in before if key not in contract.storage]
-        if sets or dels:
-            storage_deltas[name] = {"set": sets, "del": dels}
-    new_entries = [
-        codec.ledger_entry_to_data(entry)
-        for entry in chain.ledger._entries[baseline.ledger_entry_count :]
-    ]
-    new_registrations = list(chain.registry)[baseline.registry_size :]
+    diff = baseline.diff(chain)
+    storage: Dict[str, Dict[str, Any]] = {}
+    sets, dels = diff["storage"]
+    for (name, slot), value in sets.items():
+        storage.setdefault(name, {"set": {}, "del": []})["set"][slot] = value
+    for name, slot in dels:
+        if name in chain._contracts:  # a removed contract has no record
+            storage.setdefault(name, {"set": {}, "del": []})["del"].append(slot)
     record: Dict[str, Any] = {
         "kind": "block",
         "schema": codec.SCHEMA_VERSION,
@@ -296,18 +332,28 @@ def block_record(
         "period": chain.clock.period,
         "event_base": chain.event_log.pruned,
         "ledger": {
-            "balances": balance_sets,
-            "escrow": escrow_sets,
-            "fees": ledger._fees_collected,
-            "entries": new_entries,
+            "balances": diff["balances"][0],
+            "escrow": diff["escrow"][0],
+            "fees": chain.ledger._fees_collected,
+            "entries": [
+                codec.ledger_entry_to_data(entry)
+                for entry in diff["entries"][0].values()
+            ],
         },
-        "contracts": {"new": new_contracts, "storage": storage_deltas},
-        "gas": gas_sets,
-        "registry": new_registrations,
+        "contracts": {
+            "new": [
+                {"type": kind, "name": name}
+                for name, kind in diff["contracts"][0].items()
+            ],
+            "storage": storage,
+        },
+        "gas": diff["gas"][0],
+        "registry": list(diff["registry"][0]),
         "runtime": runtime_state(),
     }
     if extra is not None:
         record["extra"] = extra
+    baseline.advance(diff)
     return record
 
 

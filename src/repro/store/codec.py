@@ -340,6 +340,17 @@ def receipt_to_data(receipt: Receipt) -> Dict[str, Any]:
     """
     return {
         "transaction": transaction_to_data(receipt.transaction),
+        **_receipt_outcome(receipt),
+    }
+
+
+def receipt_from_data(data: Dict[str, Any]) -> Receipt:
+    return _receipt(data, transaction_from_data(data["transaction"]))
+
+
+def _receipt_outcome(receipt: Receipt) -> Dict[str, Any]:
+    """A receipt's fields after its transaction (inlined or indexed)."""
+    return {
         "status": receipt.status,
         "gas_used": receipt.gas_used,
         "gas_breakdown": receipt.gas_breakdown,
@@ -349,9 +360,9 @@ def receipt_to_data(receipt: Receipt) -> Dict[str, Any]:
     }
 
 
-def receipt_from_data(data: Dict[str, Any]) -> Receipt:
+def _receipt(data: Dict[str, Any], transaction: Transaction) -> Receipt:
     return Receipt(
-        transaction=transaction_from_data(data["transaction"]),
+        transaction=transaction,
         status=data["status"],
         gas_used=data["gas_used"],
         gas_breakdown=data["gas_breakdown"],
@@ -386,15 +397,7 @@ def block_to_data(block: Block) -> Dict[str, Any]:
             transaction_to_data(transaction) for transaction in block.transactions
         ],
         "receipts": [
-            {
-                "tx": _tx_index(receipt),
-                "status": receipt.status,
-                "gas_used": receipt.gas_used,
-                "gas_breakdown": receipt.gas_breakdown,
-                "events": [event_to_data(event) for event in receipt.events],
-                "revert_reason": receipt.revert_reason,
-                "block_number": receipt.block_number,
-            }
+            {"tx": _tx_index(receipt), **_receipt_outcome(receipt)}
             for receipt in block.receipts
         ],
     }
@@ -405,16 +408,7 @@ def block_from_data(data: Dict[str, Any]) -> Block:
         transaction_from_data(item) for item in data["transactions"]
     )
     receipts = tuple(
-        Receipt(
-            transaction=transactions[item["tx"]],
-            status=item["status"],
-            gas_used=item["gas_used"],
-            gas_breakdown=item["gas_breakdown"],
-            events=tuple(event_from_data(e) for e in item["events"]),
-            revert_reason=item["revert_reason"],
-            block_number=item["block_number"],
-        )
-        for item in data["receipts"]
+        _receipt(item, transactions[item["tx"]]) for item in data["receipts"]
     )
     return Block(
         number=data["number"],
@@ -505,29 +499,34 @@ def eventlog_to_data(chain: Chain) -> Dict[str, Any]:
     disk — pruned records are genuinely absent from the encoding."""
     return {
         "base": chain.event_log.pruned,
-        "records": [
-            {
-                "sequence": record.sequence,
-                "block": record.block_number,
-                "event": event_to_data(record.event),
-            }
-            for record in chain.event_log
-        ],
+        "records": [event_record_to_data(record) for record in chain.event_log],
     }
+
+
+def event_record_to_data(record: EventRecord) -> Dict[str, Any]:
+    return {
+        "sequence": record.sequence,
+        "block": record.block_number,
+        "event": event_to_data(record.event),
+    }
+
+
+def scheduler_kind(chain: Chain) -> str:
+    """The chain's scheduler type name, refusing one that cannot persist."""
+    kind = type(chain.scheduler).__name__
+    if kind not in _SCHEDULER_TYPES:
+        raise CodecError(
+            "scheduler %s holds live callbacks and cannot be persisted" % kind
+        )
+    return kind
 
 
 def chain_state_to_data(chain: Chain) -> Dict[str, Any]:
     """The full durable state of one chain as plain data."""
-    scheduler_kind = type(chain.scheduler).__name__
-    if scheduler_kind not in _SCHEDULER_TYPES:
-        raise CodecError(
-            "scheduler %s holds live callbacks and cannot be persisted"
-            % scheduler_kind
-        )
     return {
         "schema": SCHEMA_VERSION,
         "period": chain.clock.period,
-        "scheduler": scheduler_kind,
+        "scheduler": scheduler_kind(chain),
         "blocks": [block_to_data(block) for block in chain.blocks],
         "ledger": ledger_to_data(chain.ledger),
         "registry": [address for address in chain.registry],
@@ -585,14 +584,12 @@ def decode_chain_state(data: bytes) -> Chain:
 def state_root(chain: Chain) -> bytes:
     """The 32-byte integrity anchor: the chain's Merkle trie root.
 
-    Through schema v1 this was ``keccak256(encode_chain_state(chain))``
-    — correct, but it re-encoded the whole history per call.  It is now
-    the incremental :mod:`repro.store.trie` root: the same pure
-    function of chain state (byte-identical across seeded and
-    interrupt/resume runs), but an unchanged chain re-reads it for the
-    cost of a diff scan, and every key under it is provable to a light
-    client.  Imported lazily — codec is the trie's value encoder, so a
-    module-level import would cycle.
+    The incremental :mod:`repro.store.trie` root (through schema v1, a
+    flat keccak of :func:`encode_chain_state`): a pure function of chain
+    state, byte-identical across seeded and interrupt/resume runs, that
+    an unchanged chain re-reads for one diff walk, and under which every
+    key is provable to a light client.  Imported lazily: codec is the
+    trie's value encoder, so a module-level import would cycle.
     """
     from repro.store import trie
 

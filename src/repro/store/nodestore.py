@@ -157,7 +157,6 @@ class NodeStore:
         self.wal.append(
             block_record(chain, block, self._baseline, extra=self._extra())
         )
-        self._baseline.capture(chain)
 
     def note_prune(self, chain: Chain) -> None:
         """Journal an event-log compaction the moment it happens, so the

@@ -1,14 +1,7 @@
 """Merkleized chain state: an incremental keccak trie, proofs, headers.
 
-``state_root`` used to be ``keccak256(encode_chain_state(chain))`` — a
-flat hash over the full canonical encoding, recomputed from scratch on
-every call.  That shape makes per-block roots unaffordable (the whole
-history re-encodes and re-hashes each time) and gives clients nothing
-to verify *against*: a balance answer from an untrusted node is just a
-number.
-
-This module replaces the flat hash with a commitment scheme in three
-layers:
+``state_root`` commits to the whole chain state in a form a client can
+verify single facts against, in three layers:
 
 * :class:`MerkleTrie` — a path-compressed binary PATRICIA trie keyed by
   ``keccak256(key)`` bit paths, with per-node hash caching.  Updating a
@@ -23,11 +16,12 @@ layers:
   durable state (ledger accounts and escrow, contract storage, the
   worker registry, gas tallies, blocks, ledger entries, the event log
   and its prune base, clock/scheduler metadata) into trie keys whose
-  values are codec-TLV encodings, and diff-syncs against the live chain
-  on every :meth:`root` read — so ``state_root`` stays correct through
-  out-of-block mutations (``tx_register``, ``node_prune``) while
-  repeated reads on an unchanged chain cost one dict scan, not a
-  re-encode of history.
+  values are codec-TLV encodings, and syncs on every :meth:`root`
+  read, so ``state_root`` stays correct through out-of-block mutations
+  (``tx_register``, ``node_prune``).  What changed comes from the
+  WAL's differ, :class:`~repro.store.blockstore.StateBaseline`, run
+  against the tracker's own baseline: a read on an unchanged chain
+  walks state once and encodes nothing.
 * :class:`Header` — the light-client anchor: a hash-chained
   ``(height, parent, block_hash, state_root)`` record appended per
   sealed block (and per out-of-block root change) when a node fronts
@@ -55,6 +49,7 @@ from repro.crypto.keccak import keccak256, keccak256_many
 from repro.errors import ReproError
 from repro.obs import registry as _obs
 from repro.store import codec
+from repro.store.blockstore import StateBaseline, StateDiff
 
 _TRIE_SYNCS = _obs.REGISTRY.counter(
     "state_trie_syncs_total",
@@ -573,24 +568,10 @@ def event_key(sequence: int) -> bytes:
 _HISTORY_BATCH = 64
 
 
-def _block_preimage(block) -> bytes:
-    return codec.encode(codec.block_to_data(block))
-
-
-def _event_preimage(record) -> bytes:
-    return codec.encode(
-        {
-            "sequence": record.sequence,
-            "block": record.block_number,
-            "event": codec.event_to_data(record.event),
-        }
-    )
-
-
-def _digested_leaf_values(preimages: Iterable[bytes]) -> Iterator[bytes]:
-    """The leaf value of each digested-history preimage: the codec
-    encoding of its keccak digest, hashed a batch at a time."""
-    preimages = iter(preimages)
+def _digested_leaf_values(history: Iterable[Any], to_data) -> Iterator[bytes]:
+    """The leaf value of each history item: the codec encoding of the
+    keccak digest of its ``to_data`` encoding, hashed a batch at a time."""
+    preimages = (codec.encode(to_data(item)) for item in history)
     while True:
         batch = list(itertools.islice(preimages, _HISTORY_BATCH))
         if not batch:
@@ -599,49 +580,39 @@ def _digested_leaf_values(preimages: Iterable[bytes]) -> Iterator[bytes]:
             yield codec.encode(digest)
 
 
-def entry_leaf_value(entry) -> bytes:
-    return codec.encode(codec.ledger_entry_to_data(entry))
+#: Each namespace of a :data:`~repro.store.blockstore.StateDiff` as
+#: trie leaves: the key of an entry, and the value its leaf encodes.
+_LEAVES = {
+    "meta": (meta_key, lambda name, value: value),
+    "registry": (registry_key, lambda address, label: label),
+    "balances": (account_key, lambda address, n: (address.label, n)),
+    "escrow": (escrow_key, lambda address, n: (address.label, n)),
+    "gas": (gas_key, lambda address, n: (address.label, n)),
+    "contracts": (contract_key, lambda name, kind: kind),
+    "storage": (lambda pair: storage_key(*pair), lambda pair, value: value),
+    "entries": (entry_key, lambda i, entry: codec.ledger_entry_to_data(entry)),
+}
 
 
-def live_items(chain) -> Dict[bytes, bytes]:
-    """The current encoded value of every *live* (mutable-in-place) key.
+def live_items(
+    chain, diff: Optional[StateDiff] = None
+) -> Dict[bytes, Optional[bytes]]:
+    """The trie leaves a :data:`~repro.store.blockstore.StateDiff` changed.
 
-    Everything here can change or disappear between blocks — balances,
-    escrow, gas, registry grants, contract storage, scalar metadata —
-    so the tracker diffs this mapping on every sync.  Append-only
-    history (blocks, ledger entries, event records) is handled by
-    counters instead and never re-encoded.
-
-    Diffing *encodings* rather than objects is deliberate: a storage
-    value mutated in place compares equal to a stale reference of
-    itself, but never to its previous bytes.
+    Each changed key maps to its new codec encoding, or to ``None`` when
+    it is gone.  Without ``diff``, every key of the diffed domain: the
+    diff against an empty baseline, which is the cold build.  Blocks and
+    event records are append-only history the tracker counts instead.
     """
-    scheduler_kind = type(chain.scheduler).__name__
-    if scheduler_kind not in codec._SCHEDULER_TYPES:
-        raise codec.CodecError(
-            "scheduler %s holds live callbacks and cannot be persisted"
-            % scheduler_kind
-        )
-    encode = codec.encode
-    items: Dict[bytes, bytes] = {
-        meta_key("schema"): encode(codec.SCHEMA_VERSION),
-        meta_key("period"): encode(chain.clock.period),
-        meta_key("scheduler"): encode(scheduler_kind),
-        meta_key("fees"): encode(chain.ledger._fees_collected),
-        meta_key("event_base"): encode(chain.event_log.pruned),
-    }
-    for address in chain.registry:
-        items[registry_key(address)] = encode(address.label)
-    for address, balance in chain.ledger._balances.items():
-        items[account_key(address)] = encode((address.label, balance))
-    for address, held in chain.ledger._escrow.items():
-        items[escrow_key(address)] = encode((address.label, held))
-    for address, gas in chain.gas_by_sender.items():
-        items[gas_key(address)] = encode((address.label, gas))
-    for name, contract in chain._contracts.items():
-        items[contract_key(name)] = encode(type(contract).__name__)
-        for slot, value in contract.storage.items():
-            items[storage_key(name, slot)] = encode(value)
+    if diff is None:
+        diff = StateBaseline().diff(chain)
+    items: Dict[bytes, Optional[bytes]] = {}
+    for namespace, (sets, dels) in diff.items():
+        key_of, leaf_of = _LEAVES[namespace]
+        for key, value in sets.items():
+            items[key_of(key)] = codec.encode(leaf_of(key, value))
+        for key in dels:
+            items[key_of(key)] = None
     return items
 
 
@@ -652,6 +623,9 @@ def live_items(chain) -> Dict[bytes, bytes]:
 
 class ChainStateTrie:
     """Keeps a :class:`MerkleTrie` reconciled with one live chain.
+
+    A fresh tracker's baseline is empty, so its first sync is the cold
+    build; blocks and event records advance by counter.
 
     Not pickled: ``Chain.__getstate__`` drops it and a resumed chain
     rebuilds lazily on the first ``root()`` read — the trie root is a
@@ -668,9 +642,8 @@ class ChainStateTrie:
         #: front-end enables :attr:`track_headers`).
         self.headers: List[Header] = []
         self.track_headers = False
-        self._live: Dict[bytes, bytes] = {}
+        self._baseline = StateBaseline()
         self._blocks = 0
-        self._entries = 0
         self._event_base = 0
         self._event_head = 0
         self._lock = threading.RLock()
@@ -696,7 +669,7 @@ class ChainStateTrie:
         :meth:`ensure_header` syncs and returns the header committing
         to the current root; the proof is cut from that same trie under
         the same lock, so it folds to ``header.state_root`` and the
-        chain is scanned once, not once per call.
+        chain is synced once, not once per call.
         """
         with self._lock:
             header = self.ensure_header(chain)
@@ -717,36 +690,19 @@ class ChainStateTrie:
         """
         trie = self.trie
         hashed_before = trie.hash_computes
-        live = live_items(chain)
-        previous = self._live
+        diff = self._baseline.diff(chain)
+        items = live_items(chain, diff)
         updates = [
-            (key, encoded)
-            for key, encoded in live.items()
-            if previous.get(key) != encoded
+            (key, leaf) for key, leaf in items.items() if leaf is not None
         ]
-        removed = [key for key in previous if key not in live]
-        self._live = live
+        removed = [key for key, leaf in items.items() if leaf is None]
 
         blocks = chain.blocks
         updates.extend(zip(
             [block_key(number) for number in range(self._blocks, len(blocks))],
-            _digested_leaf_values(
-                _block_preimage(block) for block in blocks[self._blocks:]
-            ),
+            _digested_leaf_values(blocks[self._blocks:], codec.block_to_data),
         ))
         self._blocks = len(blocks)
-
-        entries = chain.ledger._entries
-        if len(entries) < self._entries:  # defensive: never happens post-tx
-            removed.extend(
-                entry_key(index) for index in range(len(entries), self._entries)
-            )
-            self._entries = len(entries)
-        updates.extend(
-            (entry_key(index), entry_leaf_value(entries[index]))
-            for index in range(self._entries, len(entries))
-        )
-        self._entries = len(entries)
 
         log = chain.event_log
         base, head = log.pruned, len(log)
@@ -758,7 +714,7 @@ class ChainStateTrie:
         records = list(log.iter_since(start)) if start < head else []
         updates.extend(zip(
             [event_key(record.sequence) for record in records],
-            _digested_leaf_values(_event_preimage(record) for record in records),
+            _digested_leaf_values(records, codec.event_record_to_data),
         ))
         self._event_base = base
         self._event_head = head
@@ -766,6 +722,7 @@ class ChainStateTrie:
         trie.set_many(updates)
         for key in removed:
             trie.delete(key)
+        self._baseline.advance(diff)
         root = trie.root()
         _TRIE_SYNCS.inc()
         if updates:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import threading
 import weakref
@@ -19,6 +20,7 @@ from repro.rpc import (
     LoopbackTransport,
     RpcChain,
     RpcNode,
+    RpcSession,
     RpcSwarm,
     wire,
 )
@@ -290,3 +292,31 @@ def test_shutdown_before_the_loop_is_up_is_not_lost():
         racing.shutdown()
         runner.join(timeout=10)
         assert not runner.is_alive(), "a racing shutdown() was lost"
+
+
+class _FlagRecorder:
+    """Answers every request with ``null`` and records the
+    ``idempotent`` flag the session passed for its method."""
+
+    def __init__(self) -> None:
+        self.flags = {}
+
+    def request(self, raw: bytes, idempotent: bool = False) -> bytes:
+        envelope = json.loads(raw)
+        self.flags[envelope["method"]] = idempotent
+        return wire.success(envelope["id"], None)
+
+
+def test_the_client_resends_exactly_the_server_read_methods():
+    """One read-method set: every method the server dispatches as a
+    read may be resent after a dropped connection (``node_metrics``
+    included), and no write may."""
+    from repro.rpc.server import ADMIN_METHODS, READ_METHODS, SUBMIT_METHODS
+
+    transport = _FlagRecorder()
+    session = RpcSession(transport)
+    for method in sorted(READ_METHODS | ADMIN_METHODS | SUBMIT_METHODS):
+        session.call(method)
+    resent = {method for method, flag in transport.flags.items() if flag}
+    assert resent == READ_METHODS
+    assert "node_metrics" in resent

@@ -136,6 +136,28 @@ def test_wal_replay_reaches_the_live_state_root(tmp_path):
     assert restored.height == dragoon.chain.height
 
 
+def test_wal_journals_values_that_only_compare_equal(tmp_path):
+    """``1 == True`` and two dicts with the same items in another order
+    compare equal as objects but encode differently; the WAL journals
+    both, so a replayed node reaches the live root (I-4)."""
+    from repro.chain.contract import Contract
+
+    chain = Chain()
+    deployer = chain.register_account("deployer", 10)
+    store = NodeStore.init(str(tmp_path / "node"), chain)
+    chain.attach_store(store)
+    box = Contract("box")
+    chain.deploy(box, deployer)
+    for flag, table in ((1, {"a": 1, "b": 2}), (True, {"b": 2, "a": 1})):
+        box.storage["flag"] = flag
+        box.storage["table"] = table
+        chain.mine_block()
+        replayed, meta = NodeStore.open(store.state_dir).load()
+        assert replayed.contract("box").storage["flag"] is flag
+        assert list(replayed.contract("box").storage["table"]) == list(table)
+        assert meta["state_root"] == state_root(chain)
+
+
 def test_snapshot_plus_wal_recovery(tmp_path):
     store = NodeStore.init(str(tmp_path / "node"))
     with scoped_tx_nonces(), deterministic_entropy(3):
@@ -544,6 +566,26 @@ def test_checkpointing_does_not_disturb_the_run(tmp_path):
     store = NodeStore.init(str(tmp_path / "observed"))
     observed = run_scenario(scenario, store=store, checkpoint_every=2)
     assert observed.to_json() == plain.to_json()
+
+
+def test_checkpointed_runs_write_identical_bytes(tmp_path):
+    """Two runs of one checkpointed scenario leave byte-identical state
+    dirs, checkpoints included: live subscriptions pickle in creation
+    order, not address order, and sessions pickle no clock reading."""
+    scenario = preset("poisson", seed=7, tasks=5)
+    dirs = [tmp_path / "first", tmp_path / "second"]
+    for state_dir in dirs:
+        store = NodeStore.init(str(state_dir))
+        run_scenario(scenario, store=store, checkpoint_every=6)
+        store.wal.close()
+    files = sorted(
+        path.relative_to(dirs[0])
+        for path in dirs[0].rglob("*")
+        if path.is_file()
+    )
+    assert any(path.parts[0] == "checkpoints" for path in files)
+    for path in files:
+        assert (dirs[0] / path).read_bytes() == (dirs[1] / path).read_bytes(), path
 
 
 def test_checkpoint_requires_a_store():

@@ -481,6 +481,34 @@ def test_tracker_sees_in_place_storage_mutation():
     assert tracker.root(chain) != before
 
 
+def test_warm_sync_encodes_only_the_changed_keys(monkeypatch):
+    """The tracker diffs its own baseline: after one balance write, a
+    sync encodes that account's leaf, not the whole live domain."""
+    outcome = seeded_outcome()
+    chain = outcome.chain
+    tracker = chain_state_trie(chain)
+    tracker.root(chain)
+    assert len(trie.live_items(chain)) > 50  # what a cold build encodes
+    encoded = []
+    original = trie.live_items
+
+    def recording(*args):
+        items = original(*args)
+        encoded.append(items)
+        return items
+
+    monkeypatch.setattr(trie, "live_items", recording)
+    address = next(iter(chain.ledger._balances))
+    chain.ledger._balances[address] += 1
+    tracker.root(chain)
+    balance = chain.ledger._balances[address]
+    assert encoded == [
+        {trie.account_key(address): codec.encode((address.label, balance))}
+    ]
+    tracker.root(chain)
+    assert encoded[-1] == {}
+
+
 def test_tracker_survives_pickle_and_is_not_carried():
     outcome = seeded_outcome()
     chain = outcome.chain

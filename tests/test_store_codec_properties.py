@@ -15,16 +15,18 @@ are the two the persistence subsystem stands on:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.chain import Chain
-from repro.chain.contract import CallContext, Contract
+from repro.chain.contract import CallContext, Contract, snapshot_value
 from repro.chain.transactions import scoped_tx_nonces
 from repro.crypto.curve import G1Point
 from repro.crypto.elgamal import keygen
 from repro.crypto.rng import deterministic_entropy, entropy
 from repro.ledger.accounts import Address
 from repro.store import codec
+from repro.store.blockstore import same_encoding
 from repro.store.codec import decode, encode
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,32 @@ def test_any_plain_value_round_trips(value):
 @settings(max_examples=100, deadline=None)
 def test_encoding_is_deterministic_for_any_value(value):
     assert encode(value) == encode(value)
+
+
+@given(old=_plain_values, new=_plain_values)
+@settings(max_examples=200, deadline=None)
+def test_the_differ_equality_is_byte_equality(old, new):
+    """The state differ treats two values as the same exactly when they
+    encode to the same bytes, and a value as the same as its copies."""
+    assert same_encoding(old, new) == (encode(old) == encode(new))
+    assert same_encoding(old, decode(encode(old)))
+    assert same_encoding(old, snapshot_value(old))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (1, True),
+        (0, False),
+        (1, 1.0),
+        (0.0, -0.0),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+        ([{"a": 1}], [{"a": True}]),
+    ],
+)
+def test_values_that_compare_equal_can_differ(old, new):
+    assert old == new
+    assert not same_encoding(old, new)
 
 
 # ---------------------------------------------------------------------------
