@@ -1,0 +1,3 @@
+from repro.cli import main
+
+raise SystemExit(main())

@@ -191,5 +191,5 @@ def add_logging_flags(parser) -> None:
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write a JSONL span trace of the run to FILE "
-        "(block mining, session phases, proof jobs, RPC dispatch)",
+        "(block mining, session phases, RPC dispatch)",
     )

@@ -84,40 +84,26 @@ class HttpTransport:
             raise RpcError("HttpTransport needs an http://host:port URL")
         self.url = url
         self._path = parsed.path or "/rpc"
-        self._host = parsed.hostname
-        self._port = parsed.port or 80
-        self._timeout = timeout
-        self._connection: Optional[http.client.HTTPConnection] = None
+        # Connects on the first request, and again after close(); its
+        # connect() sets TCP_NODELAY, so Nagle never holds a request's
+        # body for the server's delayed ACK.
+        self._connection = http.client.HTTPConnection(
+            parsed.hostname, parsed.port or 80, timeout=timeout
+        )
         self.requests_sent = 0
-
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            self._connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self._timeout
-            )
-            self._connection.connect()
-            # Request headers and body go out as separate writes; without
-            # TCP_NODELAY, Nagle holds the second one for the server's
-            # delayed ACK (~40ms per round trip on Linux).
-            self._connection.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        return self._connection
 
     def request(self, raw: bytes, idempotent: bool = False) -> bytes:
         self.requests_sent += 1
         attempts = 2 if idempotent else 1
         for attempt in range(attempts):
-            connection = self._connect()
             try:
-                connection.request(
+                self._connection.request(
                     "POST",
                     self._path,
                     body=raw,
                     headers={"Content-Type": "application/json"},
                 )
-                response = connection.getresponse()
-                return response.read()
+                return self._connection.getresponse().read()
             except (http.client.HTTPException, ConnectionError, OSError) as exc:
                 # A dropped keep-alive connection gets one reconnect —
                 # but only for pure reads: a mutation may already have
@@ -131,9 +117,7 @@ class HttpTransport:
         raise AssertionError("unreachable")
 
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        self._connection.close()
 
 
 class AsyncHttpTransport:
@@ -227,11 +211,16 @@ class AsyncHttpTransport:
     async def close(self) -> None:
         writer, self._reader, self._writer = self._writer, None, None
         if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await _close_writer(writer)
+
+
+async def _close_writer(writer: asyncio.StreamWriter) -> None:
+    """Close one stream and wait for it; a peer already gone is fine."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (ConnectionError, OSError):
+        pass
 
 
 def filter_params(filter: Optional[EventFilter]) -> Dict[str, Any]:
@@ -478,26 +467,30 @@ class PushSubscription:
         self._sock = socket.create_connection(
             (parsed.hostname, parsed.port or 80), timeout=timeout
         )
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        head = (
-            "POST %s HTTP/1.1\r\n"
-            "Host: %s\r\n"
-            "Content-Type: application/json\r\n"
-            "Content-Length: %d\r\n"
-            "\r\n" % (parsed.path or "/rpc", parsed.hostname, len(raw))
-        )
-        self._sock.sendall(head.encode("latin-1") + raw)
         self._stream = self._sock.makefile("rb")
-        status = self._stream.readline().decode("latin-1")
-        while True:  # headers end at the blank line
-            line = self._stream.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-        if " 200 " not in status:
-            raise RpcError("subscription refused: %s" % status.strip())
-        self.subscription_id, self.cursor = _parse_subscribe_ack(
-            self._stream.readline()
-        )
+        try:
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            head = (
+                "POST %s HTTP/1.1\r\n"
+                "Host: %s\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: %d\r\n"
+                "\r\n" % (parsed.path or "/rpc", parsed.hostname, len(raw))
+            )
+            self._sock.sendall(head.encode("latin-1") + raw)
+            status = self._stream.readline().decode("latin-1")
+            while True:  # headers end at the blank line
+                line = self._stream.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+            if " 200 " not in status:
+                raise RpcError("subscription refused: %s" % status.strip())
+            self.subscription_id, self.cursor = _parse_subscribe_ack(
+                self._stream.readline()
+            )
+        except BaseException:
+            self.close()
+            raise
 
     def next_records(
         self, timeout: Optional[float] = None
@@ -555,24 +548,27 @@ class AsyncSubscription:
             asyncio.open_connection(parsed.hostname, parsed.port or 80),
             timeout=timeout,
         )
-        head = (
-            "POST %s HTTP/1.1\r\n"
-            "Host: %s\r\n"
-            "Content-Type: application/json\r\n"
-            "Content-Length: %d\r\n"
-            "\r\n" % (parsed.path or "/rpc", parsed.hostname, len(raw))
-        )
-        writer.write(head.encode("latin-1") + raw)
-        await writer.drain()
-        status = (await reader.readline()).decode("latin-1")
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-        if " 200 " not in status:
-            writer.close()
-            raise RpcError("subscription refused: %s" % status.strip())
-        sid, acked = _parse_subscribe_ack(await reader.readline())
+        try:
+            head = (
+                "POST %s HTTP/1.1\r\n"
+                "Host: %s\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: %d\r\n"
+                "\r\n" % (parsed.path or "/rpc", parsed.hostname, len(raw))
+            )
+            writer.write(head.encode("latin-1") + raw)
+            await writer.drain()
+            status = (await reader.readline()).decode("latin-1")
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+            if " 200 " not in status:
+                raise RpcError("subscription refused: %s" % status.strip())
+            sid, acked = _parse_subscribe_ack(await reader.readline())
+        except BaseException:
+            await _close_writer(writer)
+            raise
         return cls(reader, writer, sid, acked)
 
     async def next_records(self) -> List[EventRecord]:
@@ -583,11 +579,7 @@ class AsyncSubscription:
         return records
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await _close_writer(self._writer)
 
 
 # ---------------------------------------------------------------------------

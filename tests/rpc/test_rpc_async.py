@@ -16,8 +16,10 @@ suite already running against :class:`AsyncRpcServer`:
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 import time
+import warnings
 
 import pytest
 
@@ -177,6 +179,32 @@ def test_pruned_cursor_ends_the_stream_loudly(async_server):
     transport.close()
 
 
+def _resource_warnings(action) -> list:
+    """The ResourceWarnings ``action`` leaves once its garbage is collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_a_refused_subscription_closes_its_connection(async_server):
+    """An error ack (here, a negative cursor) raises and leaks nothing,
+    from the blocking and the awaitable consumer alike."""
+    _, server = async_server
+
+    def blocking():
+        with pytest.raises(RpcError):
+            PushSubscription(server.url, cursor=-1)
+
+    async def awaitable():
+        with pytest.raises(RpcError):
+            await AsyncSubscription.open(server.url, cursor=-1)
+
+    assert _resource_warnings(blocking) == []
+    assert _resource_warnings(lambda: asyncio.run(awaitable())) == []
+
+
 def test_mid_stream_disconnect_unsubscribes(async_server):
     node, server = async_server
     transport = HttpTransport(server.url)
@@ -241,6 +269,29 @@ def test_async_subscription_consumes_pushes(async_server):
     assert [record.sequence for record in records] == list(
         range(len(node.chain.event_log))
     )
+    transport.close()
+
+
+@pytest.mark.parametrize("kind", ["http", "async"])
+@pytest.mark.parametrize("lost", ["after a request", "before connecting"])
+def test_a_lost_server_is_an_rpc_error(kind, lost):
+    """A write to a server that is gone raises RpcError, whether the
+    keep-alive connection dropped or the connect itself is refused."""
+    with AsyncRpcServer(RpcNode()) as server:
+        transport = socket_transport(kind, server.url)
+        if lost == "after a request":
+            assert RpcSession(transport).call("chain_head")["height"] == 0
+    with pytest.raises(RpcError):
+        RpcSession(transport).call("chain_mine")
+    transport.close()
+
+
+def test_http_transport_connections_send_without_nagle(async_server):
+    _, server = async_server
+    transport = HttpTransport(server.url)
+    RpcSession(transport).call("chain_head")
+    sock = transport._connection.sock
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     transport.close()
 
 

@@ -107,6 +107,7 @@ def test_rpc_serve_round_trip_out_of_process(tmp_path):
         # the graceful-shutdown path under test is the deployed one.
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
+        proc.stdout.close()
 
     # The shutdown handler snapshotted the served state; a cold `node
     # status` load reaches the same root the live node reported.
@@ -132,7 +133,8 @@ def test_rpc_serve_sigint_exits_cleanly_with_loadable_snapshot(tmp_path):
     finally:
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=30) == 0
-    remaining = proc.stdout.read()
+    with proc.stdout:
+        remaining = proc.stdout.read()
     assert "node state saved to %s" % state_dir in remaining
     _assert_cold_status_height(state_dir, env, 1)
 
@@ -163,7 +165,8 @@ def test_rpc_serve_async_out_of_process(tmp_path):
     finally:
         proc.send_signal(signal.SIGINT)
         assert proc.wait(timeout=30) == 0
-    remaining = proc.stdout.read()
+    with proc.stdout:
+        remaining = proc.stdout.read()
     assert "node state saved to %s" % state_dir in remaining
     stdout = _assert_cold_status_height(state_dir, env, 1)
     assert served_root[:32] in stdout
@@ -191,3 +194,4 @@ def test_rpc_serve_async_auth_gates_out_of_process(tmp_path):
     finally:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
+        proc.stdout.close()

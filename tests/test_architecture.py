@@ -111,3 +111,22 @@ def test_lower_layers_never_import_upward(module):
         }
     )
     assert not upward, "%s imports %s" % (module, ", ".join(upward))
+
+
+def test_cli_families_share_only_the_common_module():
+    """Each CLI family declares its flags beside its own handlers; the
+    one part of ``repro.cli`` a family may import is ``repro.cli.common``."""
+    families = sorted((SRC / "repro" / "cli").glob("*.py"))
+    assert {path.name for path in families} >= {"common.py", "node.py"}
+    for path in families:
+        if path.name in ("__init__.py", "__main__.py", "common.py"):
+            continue
+        module = module_name(path)
+        reached = {
+            name
+            for name in imported_names(path.read_text(encoding="utf-8"), module, False)
+            if _within(name, ["repro.cli"])
+        }
+        assert all(_within(name, ["repro.cli.common"]) for name in reached), (
+            "%s imports %s" % (module, ", ".join(sorted(reached)))
+        )

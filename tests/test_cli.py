@@ -125,7 +125,8 @@ def test_simulate_out_writes_the_canonical_report(tmp_path, capsys):
     capsys.readouterr()
     import json
 
-    report = json.loads(open(out_file).read())
+    with open(out_file) as handle:
+        report = json.loads(handle.read())
     assert report["scenario"] == "poisson"
     assert report["seed"] == 3
     assert report["tasks_published"] == 4
@@ -201,3 +202,11 @@ def test_simulate_refuses_an_existing_state_dir(tmp_path, capsys):
     assert main(["simulate", "--preset", "poisson", "--tasks", "2",
                  "--state-dir", state_dir]) == 2
     assert "already holds node state" in capsys.readouterr().err
+
+
+def test_log_json_lines_name_the_cli_logger(capsys):
+    import json
+
+    assert main(["serve", "--tasks", "1", "--log-json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert {json.loads(line)["logger"] for line in lines} == {"repro.cli"}

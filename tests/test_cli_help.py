@@ -3,7 +3,9 @@
 ``tests/vectors/cli_help.txt`` holds the help of the top-level parser
 and of each subcommand, rendered at 80 columns, one section per parser
 under a ``$ repro.cli ... --help`` header.  A subcommand, flag, default,
-metavar or help phrase that changes shows up here as a diff.
+metavar or help phrase that changes shows up here as a diff.  A change
+made on purpose re-records the file: write the concatenated headers and
+texts of :func:`render_help` with ``COLUMNS=80`` set.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import socket
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,12 @@ def _rows(text: str) -> dict:
             field, value = (cell.strip() for cell in line.strip("|").split("|"))
             rows[field] = value
     return rows
+
+
+def _closed_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 # -- node proof --------------------------------------------------------------
@@ -132,6 +139,13 @@ def test_light_verify_refuses_a_wrong_anchor(settled_server, capsys):
     assert main(["light-verify", "--url", server.url,
                  "--trust", "de" * 32]) == 1
     assert "VERIFICATION FAILED" in capsys.readouterr().err
+
+
+def test_light_verify_worker_without_task_is_a_usage_error(capsys):
+    """The flags are checked before any connection is tried."""
+    url = "http://127.0.0.1:%d" % _closed_port()
+    assert main(["light-verify", "--url", url, "--worker", "bob"]) == 2
+    assert "--task" in capsys.readouterr().err
 
 
 # -- report render -----------------------------------------------------------
