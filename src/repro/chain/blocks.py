@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
 
-from repro.chain.transactions import Receipt, Transaction
+from repro.chain.transactions import Receipt, Transaction, tx_hashes
 from repro.crypto.keccak import keccak256
 
 
@@ -25,11 +25,13 @@ class Block:
     @cached_property
     def _digest(self) -> bytes:
         # Computed once per block: the hashed fields are frozen and so
-        # is every transaction in the tuple.
-        material = self.number.to_bytes(8, "big") + self.parent_hash
-        for transaction in self.transactions:
-            material += transaction.tx_hash()
-        return keccak256(material)
+        # is every transaction in the tuple, whose digests not taken yet
+        # are hashed together.
+        return keccak256(b"".join((
+            self.number.to_bytes(8, "big"),
+            self.parent_hash,
+            *tx_hashes(self.transactions),
+        )))
 
     @property
     def gas_used(self) -> int:

@@ -5,9 +5,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.crypto.keccak import keccak256
+from repro.crypto.keccak import keccak256, keccak256_many
 from repro.ledger.accounts import Address
 
 
@@ -113,15 +113,17 @@ class Transaction:
     def _digest(self) -> bytes:
         # Every hashed field is frozen, so the digest is computed once
         # per object; ``dataclasses.replace`` builds a new object.
-        material = (
-            self.sender.value
-            + self.contract.encode()
-            + self.method.encode()
-            + self.payload
-            + self.value.to_bytes(16, "big")
-            + self.nonce.to_bytes(8, "big")
-        )
-        return keccak256(material)
+        return keccak256(self._material())
+
+    def _material(self) -> bytes:
+        return b"".join((
+            self.sender.value,
+            self.contract.encode(),
+            self.method.encode(),
+            self.payload,
+            self.value.to_bytes(16, "big"),
+            self.nonce.to_bytes(8, "big"),
+        ))
 
     def __repr__(self) -> str:
         return "Transaction(%s -> %s.%s, %d bytes)" % (
@@ -130,6 +132,22 @@ class Transaction:
             self.method,
             len(self.payload),
         )
+
+
+def tx_hashes(transactions: Sequence[Transaction]) -> List[bytes]:
+    """``[tx.tx_hash() for tx in transactions]``, hashed side by side.
+
+    The transactions not hashed yet go through one
+    :func:`~repro.crypto.keccak.keccak256_many` call, and each digest is
+    kept on its transaction where :meth:`Transaction.tx_hash` finds it,
+    so every transaction is still hashed once.
+    """
+    fresh = [tx for tx in transactions if "_digest" not in vars(tx)]
+    if fresh:
+        digests = keccak256_many([tx._material() for tx in fresh])
+        for transaction, digest in zip(fresh, digests):
+            vars(transaction)["_digest"] = digest
+    return [transaction._digest for transaction in transactions]
 
 
 @dataclass

@@ -19,20 +19,24 @@ rotation constant inlined:
 * :func:`_sponge` hashes one message with 64-bit lanes.  A block is
   absorbed with one ``struct`` unpack and the digest squeezed with one
   pack.  :func:`keccak256` always runs it.
-* :func:`_sponge_wide` hashes many messages of the same padded length in
-  one pass: each lane is one Python int that holds that lane of every
-  state, 64 bits apart, so one big-int operation advances all of them,
-  and a pass over 16 one-block messages costs about what two
-  single-message permutations do, not sixteen.
-  :func:`keccak256_many` groups its messages by padded block count and
-  sends each group of two or more here; a group of one goes to
-  :func:`_sponge`, which is the faster of the two on a single message.
+* :func:`_sponge_wide` hashes many messages of any lengths in one pass
+  (the parallel-instances technique of Bertoni, Daemen, Peeters and
+  Van Assche, "Keccak implementation overview", 2012): each lane is one
+  Python int that holds that lane of every state, 64 bits apart, so one
+  big-int operation advances all of them, and a pass over 16 one-block
+  messages costs about what two single-message permutations do, not
+  sixteen.  Each block step absorbs the next block of every message
+  still live; a finished message's digest is squeezed at once and its
+  slot dropped, so later steps run only as wide as what is left.
+  :func:`keccak256_many` sends every batch of two or more messages
+  here; :func:`_sponge` runs only for :func:`keccak256` and for a batch
+  of one, since it is the faster of the two on a single message.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 _LANE_MASK = (1 << 64) - 1
 _RATE_BYTES = 136  # 1088-bit rate for Keccak-256
@@ -221,24 +225,35 @@ def _sponge(data: bytes, pad: int) -> bytes:
 def _sponge_wide(messages: Sequence[bytes], pad: int) -> List[bytes]:
     """``[_sponge(m, pad) for m in messages]`` in one keccak-f[1600] pass.
 
-    Every message must pad to the same number of blocks.  Lane ``i`` of
-    message ``j`` sits at bits ``64j .. 64j + 63`` of the int ``a{i}``,
-    so each XOR/AND below acts on every state at once.  A rotation is
-    two shifts masked to each 64-bit lane (``hi{r}`` keeps bits
-    ``r .. 63`` of every lane, ``lo{r}`` bits ``0 .. r - 1``) and chi's
-    NOT is an XOR with ``ones``, which keeps every int non-negative.
-    Blocks are absorbed through one ``int.from_bytes`` per lane over
-    that lane's bytes of every message, gathered by a strided
-    ``memoryview``; the digests come back the same way.
+    The messages may have any lengths.  They take their places longest
+    first: message ``j`` of that order sits at bits ``64j .. 64j + 63``
+    of each lane int ``a{i}``, so each XOR/AND below acts on every live
+    state at once.  A rotation is two shifts masked to each 64-bit lane
+    (``hi{r}`` keeps bits ``r .. 63`` of every lane, ``lo{r}`` bits
+    ``0 .. r - 1``) and chi's NOT is an XOR with ``ones``, which keeps
+    every int non-negative.
+
+    Block step ``s`` absorbs block ``s`` of every message still live:
+    the blocks are joined side by side (only the last one of each
+    message is a padded copy, so nothing is held past the batch's own
+    bytes) and each lane is read with one ``int.from_bytes`` over a
+    strided ``memoryview``.  A message's digest is squeezed right after
+    its last block; its slot is then masked off every lane int,
+    ``ones`` and the round constants, so the later steps run only as
+    wide as the messages left.  The rotation masks stay full width: an
+    AND of two non-negative ints costs the narrower one.
     """
     count = len(messages)
-    pieces = []
-    for data in messages:
-        pieces.append(data)
-        pieces.append(_tail(len(data), pad))
-    words = memoryview(b"".join(pieces)).cast("Q")
-    stride = len(words) // count  # one message's words, 17 per block
-    width = 8 * count
+    lengths = [len(data) for data in messages]
+    order = sorted(range(count), key=lengths.__getitem__, reverse=True)
+    ordered = [messages[index] for index in order]
+    # Each message's last block: its offset, and the block padded.
+    ends = [lengths[index] // _RATE_BYTES * _RATE_BYTES for index in order]
+    lasts = [
+        b"".join((data[end:], _tail(len(data), pad)))
+        for data, end in zip(ordered, ends)
+    ]
+    digests: List[bytes] = [b""] * count
     from_bytes = int.from_bytes
     unit = from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * count, "little")
     ones = unit * _LANE_MASK
@@ -249,12 +264,20 @@ def _sponge_wide(messages: Sequence[bytes], pad: int) -> List[bytes]:
      hi27, hi28, hi36, hi39, hi41, hi43, hi44, hi45, hi55, hi56, hi61,
      hi62) = [ones ^ low for low in lows]
     round_constants = [unit * constant for constant in _ROUND_CONSTANTS]
+    live = count
     a0 = a1 = a2 = a3 = a4 = a5 = a6 = a7 = a8 = a9 = a10 = a11 = a12 = 0
     a13 = a14 = a15 = a16 = a17 = a18 = a19 = a20 = a21 = a22 = a23 = a24 = 0
-    for offset in range(0, stride, 17):
+    for offset in range(0, ends[0] + 1, _RATE_BYTES):
+        # Messages [0, going) go on past this block; [going, live) end.
+        going = live
+        while going and ends[going - 1] == offset:
+            going -= 1
+        pieces = [data[offset:offset + _RATE_BYTES] for data in ordered[:going]]
+        pieces += lasts[going:live]
+        words = memoryview(b"".join(pieces)).cast("Q")
         (m0, m1, m2, m3, m4, m5, m6, m7, m8,
          m9, m10, m11, m12, m13, m14, m15, m16) = [
-            from_bytes(words[offset + index::stride].tobytes(), "little")
+            from_bytes(words[index::17].tobytes(), "little")
             for index in range(17)
         ]
         a0 ^= m0
@@ -363,33 +386,43 @@ def _sponge_wide(messages: Sequence[bytes], pad: int) -> List[bytes]:
             a23 = b23 ^ (b24 ^ ones) & b20
             a24 = b24 ^ (b20 ^ ones) & b21
 
-    squeezed = bytearray(32 * count)
-    view = memoryview(squeezed).cast("Q")
-    for index, state in enumerate((a0, a1, a2, a3)):
-        view[index::4] = memoryview(state.to_bytes(width, "little")).cast("Q")
-    digests = bytes(squeezed)
-    return [digests[start:start + 32] for start in range(0, 32 * count, 32)]
+        if going == live:
+            continue
+        # Squeeze the messages that ended here, then drop their slots.
+        done = live - going
+        squeezed = bytearray(32 * done)
+        view = memoryview(squeezed).cast("Q")
+        for index, state in enumerate((a0, a1, a2, a3)):
+            view[index::4] = memoryview(
+                (state >> 64 * going).to_bytes(8 * done, "little")
+            ).cast("Q")
+        for position, start in zip(order[going:live], range(0, 32 * done, 32)):
+            digests[position] = bytes(squeezed[start:start + 32])
+        live = going
+        if not live:
+            break  # that was the longest message's last block
+        ones = (1 << 64 * live) - 1
+        round_constants = [constant & ones for constant in round_constants]
+        (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15,
+         a16, a17, a18, a19, a20, a21, a22, a23, a24) = [
+            lane & ones for lane in (
+                a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13,
+                a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24,
+            )
+        ]
+    return digests
 
 
 def _sponge_many(messages: Sequence[bytes], pad: int) -> List[bytes]:
-    """``[_sponge(m, pad) for m in messages]``, one pass per padded length.
+    """``[_sponge(m, pad) for m in messages]``, two or more in one pass.
 
-    Messages that pad to the same number of blocks share one
-    :func:`_sponge_wide` pass; a length no other message has is hashed
-    alone by :func:`_sponge`.
+    A batch of two or more messages, of any lengths, goes through one
+    :func:`_sponge_wide` pass; a lone message goes to :func:`_sponge`,
+    the faster of the two on a single message.
     """
-    groups: Dict[int, List[int]] = {}
-    for index, data in enumerate(messages):
-        groups.setdefault(len(data) // _RATE_BYTES, []).append(index)
-    digests: List[bytes] = [b""] * len(messages)
-    for indexes in groups.values():
-        if len(indexes) == 1:
-            digests[indexes[0]] = _sponge(messages[indexes[0]], pad)
-            continue
-        wide = _sponge_wide([messages[index] for index in indexes], pad)
-        for index, digest in zip(indexes, wide):
-            digests[index] = digest
-    return digests
+    if len(messages) < 2:
+        return [_sponge(data, pad) for data in messages]
+    return _sponge_wide(messages, pad)
 
 
 def keccak256(data: bytes) -> bytes:
@@ -400,10 +433,11 @@ def keccak256(data: bytes) -> bytes:
 def keccak256_many(messages: Sequence[bytes]) -> List[bytes]:
     """``[keccak256(m) for m in messages]``, hashed side by side.
 
-    The digests are the same bytes :func:`keccak256` returns; messages
-    that pad to the same number of blocks share one permutation pass
-    (see :func:`_sponge_wide`), which is what makes a batch of short
-    independent messages, such as one level of state-trie nodes, cheap.
+    The digests are the same bytes :func:`keccak256` returns; two or
+    more messages, of any lengths, share one permutation pass (see
+    :func:`_sponge_wide`), which is what makes a batch of independent
+    messages, such as one level of state-trie nodes or a sync's new
+    blocks and events, cheap.
     """
     return _sponge_many(messages, 0x01)
 

@@ -45,7 +45,12 @@ _ROOT_NAME = "repro"
 
 
 class _DynamicStreamHandler(logging.StreamHandler):
-    """A StreamHandler bound to a *name* (stdout/stderr), not an object."""
+    """A StreamHandler bound to a *name* (stdout/stderr), not an object.
+
+    A record the stream's reader is no longer there for (``... | head
+    -1`` has exited) is dropped quietly; any other failure to emit is
+    reported the stdlib way.
+    """
 
     def __init__(self, use_stderr: bool) -> None:
         super().__init__()
@@ -58,6 +63,10 @@ class _DynamicStreamHandler(logging.StreamHandler):
     @stream.setter
     def stream(self, value):  # logging.StreamHandler.__init__ assigns it
         pass
+
+    def handleError(self, record: logging.LogRecord) -> None:
+        if not isinstance(sys.exc_info()[1], BrokenPipeError):
+            super().handleError(record)
 
 
 class _MaxLevelFilter(logging.Filter):

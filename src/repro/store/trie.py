@@ -42,7 +42,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.chain.blocks import GENESIS_HASH
 from repro.crypto.keccak import keccak256, keccak256_many
@@ -563,21 +563,11 @@ def event_key(sequence: int) -> bytes:
     return b"event/" + sequence.to_bytes(8, "big")
 
 
-#: Digested history is hashed this many preimages per batch, so a cold
+#: New blocks and event records are digested this many per
+#: ``keccak256_many`` call: long enough to share one wide keccak pass
+#: among a checkpoint's worth of history, short enough that a cold
 #: rebuild over a long chain never holds every block's encoding at once.
 _HISTORY_BATCH = 64
-
-
-def _digested_leaf_values(history: Iterable[Any], to_data) -> Iterator[bytes]:
-    """The leaf value of each history item: the codec encoding of the
-    keccak digest of its ``to_data`` encoding, hashed a batch at a time."""
-    preimages = (codec.encode(to_data(item)) for item in history)
-    while True:
-        batch = list(itertools.islice(preimages, _HISTORY_BATCH))
-        if not batch:
-            return
-        for digest in keccak256_many(batch):
-            yield codec.encode(digest)
 
 
 #: Each namespace of a :data:`~repro.store.blockstore.StateDiff` as
@@ -683,10 +673,14 @@ class ChainStateTrie:
 
         Every update is gathered first and applied in one
         :meth:`MerkleTrie.set_many`, so the paths of keys new to the
-        trie are hashed in one batch, as are the new blocks' and event
-        records' leaf digests.  Deletions touch keys disjoint from the
-        updates and the trie is canonical, so applying them after the
-        updates changes neither the root nor which nodes re-hash.
+        trie are hashed in one batch.  The new blocks and event records
+        enter as the digests of their encodings, hashed together, one
+        :func:`~repro.crypto.keccak.keccak256_many` call per
+        :data:`_HISTORY_BATCH` items, so blocks and events of every
+        length share one wide keccak pass.  Deletions touch keys
+        disjoint from the updates and the trie is canonical, so applying
+        them after the updates changes neither the root nor which nodes
+        re-hash.
         """
         trie = self.trie
         hashed_before = trie.hash_computes
@@ -698,12 +692,6 @@ class ChainStateTrie:
         removed = [key for key, leaf in items.items() if leaf is None]
 
         blocks = chain.blocks
-        updates.extend(zip(
-            [block_key(number) for number in range(self._blocks, len(blocks))],
-            _digested_leaf_values(blocks[self._blocks:], codec.block_to_data),
-        ))
-        self._blocks = len(blocks)
-
         log = chain.event_log
         base, head = log.pruned, len(log)
         removed.extend(
@@ -712,10 +700,26 @@ class ChainStateTrie:
         )
         start = max(self._event_head, base)
         records = list(log.iter_since(start)) if start < head else []
-        updates.extend(zip(
-            [event_key(record.sequence) for record in records],
-            _digested_leaf_values(records, codec.event_record_to_data),
-        ))
+        history = itertools.chain(
+            (
+                (block_key(number), codec.block_to_data(blocks[number]))
+                for number in range(self._blocks, len(blocks))
+            ),
+            (
+                (event_key(record.sequence), codec.event_record_to_data(record))
+                for record in records
+            ),
+        )
+        while True:
+            batch = list(itertools.islice(history, _HISTORY_BATCH))
+            if not batch:
+                break
+            digests = keccak256_many([codec.encode(data) for _, data in batch])
+            updates.extend(
+                (key, codec.encode(digest))
+                for (key, _), digest in zip(batch, digests)
+            )
+        self._blocks = len(blocks)
         self._event_base = base
         self._event_head = head
 

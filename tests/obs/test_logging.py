@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +73,27 @@ def test_multiline_tables_survive_verbatim(capsys):
     table = "+---+\n| x |\n+---+"
     get_logger("test").info(table)
     assert capsys.readouterr().out == table + "\n"
+
+
+def test_records_after_the_reader_left_are_dropped_quietly():
+    """``serve --log-json | head -1`` with ``head`` already gone: every
+    record meets a closed pipe and is dropped without a ``--- Logging
+    error ---`` traceback, and the run still exits 0."""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--tasks", "2",
+         "--log-json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader leaves before the first record
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert b"Logging error" not in stderr
+    assert b"Traceback" not in stderr

@@ -429,6 +429,7 @@ def test_http_garbage_and_bad_routes_leave_the_server_alive():
                 urllib.request.urlopen(
                     "http://127.0.0.1:%d/nope" % server.port
                 )
+            err.value.close()
             assert err.value.code == 404
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(
@@ -437,6 +438,7 @@ def test_http_garbage_and_bad_routes_leave_the_server_alive():
                         data=b"{}",
                     )
                 )
+            err.value.close()
             assert err.value.code == 404
 
             # Oversized body: refused from the Content-Length header.
@@ -446,6 +448,7 @@ def test_http_garbage_and_bad_routes_leave_the_server_alive():
                         server.url, data=b"x" * 8192
                     )
                 )
+            err.value.close()
             assert err.value.code == 413
 
             # The server still answers a well-formed request afterwards.

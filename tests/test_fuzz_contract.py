@@ -9,7 +9,7 @@ and the protocol must still settle with the correct payments.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.chain.chain import Chain
 from repro.core.requester import RequesterClient
@@ -113,8 +113,12 @@ def test_junk_receipts_all_marked_failed():
 
 
 @given(st.binary(max_size=96), st.sampled_from(["commit", "reveal", "golden"]))
+@example(payload=bytes(32), method="commit")
 @settings(max_examples=15, deadline=None)
 def test_single_junk_transaction_never_crashes(payload, method):
+    """Every such transaction fails, except a 32-byte ``commit``: from a
+    registered account that is not the requester, in the commit phase,
+    that is a well-formed commitment, and the contract accepts it."""
     task = small_task()
     chain, swarm = Chain(), SwarmStore()
     requester = RequesterClient("req", task, chain, swarm)
@@ -123,4 +127,5 @@ def test_single_junk_transaction_never_crashes(payload, method):
     chain.send(attacker, requester.contract_name, method,
                args=(payload,), payload=payload)
     block = chain.mine_block()
-    assert not block.receipts[0].succeeded
+    well_formed_commit = method == "commit" and len(payload) == 32
+    assert block.receipts[0].succeeded == well_formed_commit

@@ -41,18 +41,22 @@ class KeccakCalls:
     """Counts keccak-256 digests asked for through any ``repro`` module:
     one per ``keccak256`` call and one per message passed to
     ``keccak256_many``, so batched trie hashing counts as it did when
-    every node was its own call."""
+    every node was its own call.  :attr:`calls` logs each call as
+    ``(function name, messages)``."""
 
     def __init__(self, monkeypatch) -> None:
         self.count = 0
+        self.calls = []
         single, many = keccak.keccak256, keccak.keccak256_many
 
         def counted(data):
             self.count += 1
+            self.calls.append(("keccak256", 1))
             return single(data)
 
         def counted_many(messages):
             self.count += len(messages)
+            self.calls.append(("keccak256_many", len(messages)))
             return many(messages)
 
         for module in list(sys.modules.values()):
@@ -115,6 +119,25 @@ def test_block_hash_reuses_its_transactions_digests(keccak_calls):
         transaction.tx_hash()
     _, calls = keccak_calls.during(head.block_hash)
     assert calls == 1
+
+
+def test_block_hash_hashes_its_unhashed_transactions_in_one_batch(
+    keccak_calls,
+):
+    """Three transactions no one has hashed yet: the block digest costs
+    one ``keccak256_many`` call over the three and one ``keccak256`` of
+    its own, each transaction keeps its digest, and the digests are the
+    bytes a lone ``tx_hash`` of a fresh copy gives."""
+    chain = _chain(blocks=1, txs_per_block=3)
+    head = chain.blocks[-1]
+    assert len(head.transactions) == 3
+    del keccak_calls.calls[:]
+    head.block_hash()
+    assert keccak_calls.calls == [("keccak256_many", 3), ("keccak256", 1)]
+    for transaction in head.transactions:
+        digest, calls = keccak_calls.during(transaction.tx_hash)
+        assert calls == 0
+        assert digest == dataclasses.replace(transaction).tx_hash()
 
 
 def test_chain_head_requests_on_an_unchanged_head_hash_once(keccak_calls):

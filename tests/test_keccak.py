@@ -2,10 +2,14 @@
 and both sponges against an independent oracle: ``hashlib.sha3_256``
 runs the same keccak-f[1600] at the same 136-byte rate and differs only
 in its first pad byte (``0x06`` where keccak has ``0x01``).  The batched
-``keccak256_many`` is checked against ``keccak256``, the reference."""
+``keccak256_many`` is checked against ``keccak256``, the reference, on
+batches of equal and of ragged lengths, and pinned to one wide pass per
+batch whose memory stays within the batch's own bytes."""
 
 import hashlib
 import random
+import threading
+import tracemalloc
 
 import pytest
 
@@ -158,3 +162,96 @@ def test_wide_sponge_matches_sha3_on_seeded_multi_kilobyte_inputs(length):
     assert keccak._sponge_wide(batch, SHA3_PAD) == [
         hashlib.sha3_256(data).digest() for data in batch
     ]
+
+
+# ---------------------------------------------------------------------------
+# Ragged batches: any lengths side by side in one wide pass
+# ---------------------------------------------------------------------------
+
+#: Lengths at and around the 136-byte rate, whole multiples of it, and
+#: long tails, drawn from alongside uniform lengths up to 5,000 bytes.
+RAGGED_LENGTHS = (0, 1, 135, 136, 137, 271, 272, 273, 136 * 7, 136 * 30, 5000)
+
+
+def ragged_batch(seed: int, size: int):
+    rng = random.Random(seed)
+    return [
+        rng.randbytes(
+            rng.choice(RAGGED_LENGTHS) if rng.random() < 0.5
+            else rng.randrange(5001)
+        )
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 7, 16, 33, 64, 65, 70])
+def test_many_matches_keccak256_on_seeded_ragged_batches(size):
+    batch = ragged_batch(size, size)
+    assert len({len(data) // 136 for data in batch}) > 1
+    assert keccak256_many(batch) == [keccak256(data) for data in batch]
+
+
+@pytest.mark.parametrize("size", [2, 3, 5, 8, 13, 21, 34, 55, 70])
+def test_batched_sponge_matches_sha3_on_seeded_ragged_batches(size):
+    batch = ragged_batch(1000 + size, size)
+    assert len({len(data) // 136 for data in batch}) > 1
+    assert keccak._sponge_many(batch, SHA3_PAD) == [
+        hashlib.sha3_256(data).digest() for data in batch
+    ]
+
+
+def test_a_batch_of_distinct_block_counts_is_one_wide_pass(monkeypatch):
+    """1, 2, 3, 8 and 37 padded blocks: one ``_sponge_wide`` call over
+    all five messages, and no message hashed alone by ``_sponge``."""
+    batch = [random.Random(length).randbytes(length)
+             for length in (0, 136, 300, 1000, 5000)]
+    expected = [keccak256(data) for data in batch]
+    calls = []
+    wide, single = keccak._sponge_wide, keccak._sponge
+
+    def counted_wide(messages, pad):
+        calls.append(("_sponge_wide", len(messages)))
+        return wide(messages, pad)
+
+    def counted_single(data, pad):
+        calls.append(("_sponge", 1))
+        return single(data, pad)
+
+    monkeypatch.setattr(keccak, "_sponge_wide", counted_wide)
+    monkeypatch.setattr(keccak, "_sponge", counted_single)
+    assert keccak256_many(batch) == expected
+    assert calls == [("_sponge_wide", 5)]
+
+
+def test_a_long_message_beside_short_ones_stays_within_the_batch_s_bytes():
+    """One 2 MB message beside 63 one-byte ones hashes to the oracle's
+    digests.  Padding every message to the longest would hold 64 times
+    2 MB; the wide pass holds one step's blocks and the lane ints, so
+    the call's traced peak stays within twice the batch's own bytes.
+
+    tracemalloc slows this kernel about a hundredfold, and tracing all
+    15,421 permutations would take minutes, so tracing stops after the
+    call's first second, which covers whatever it set up before its
+    first permutation and its widest steps; the rest runs untraced."""
+    rng = random.Random(2)
+    batch = [rng.randbytes(2 << 20)] + [rng.randbytes(1) for _ in range(63)]
+    own = sum(len(data) for data in batch)
+    peaks = []
+
+    def stop_tracing():
+        if tracemalloc.is_tracing():
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    timer = threading.Timer(1.0, stop_tracing)
+    tracemalloc.start()
+    timer.start()
+    try:
+        digests = keccak._sponge_many(batch, SHA3_PAD)
+    finally:
+        timer.cancel()
+        timer.join(timeout=10)
+        stop_tracing()
+    assert digests == [hashlib.sha3_256(data).digest() for data in batch]
+    assert len(peaks) == 1
+    assert peaks[0] <= 2 * own

@@ -509,6 +509,88 @@ def test_warm_sync_encodes_only_the_changed_keys(monkeypatch):
     assert encoded[-1] == {}
 
 
+class _Echo(Contract):
+    code_size = 300
+
+    def shout(self, ctx: CallContext) -> None:
+        (data,) = ctx.args
+        self.emit(ctx, "shouted", data=data)
+
+
+def test_a_sync_hashes_its_new_blocks_and_events_in_one_batch(monkeypatch):
+    """Three blocks whose encodings pad to distinct block counts, with
+    events of three sizes.  A warm tracker's one sync after them, and a
+    fresh tracker's cold build, each digest every new block and event
+    record in one ``keccak256_many`` call (one wide pass, however
+    ragged) and hash nothing alone.  Both reach the root of a trie
+    built from one-at-a-time ``keccak256`` leaf digests, and the cold
+    build hashes as many nodes as that trie."""
+    chain = Chain()
+    owner = chain.register_account("owner", 10)
+    chain.deploy(_Echo("echo"), owner)
+    warm = chain_state_trie(chain)
+    warm.root(chain)
+    synced = (len(chain.blocks), len(chain.event_log))
+    for shouts, size in ((1, 10), (4, 300), (9, 1000)):
+        for _ in range(shouts):
+            chain.send(owner, "echo", "shout",
+                       args=(bytes(size),), payload=bytes(size))
+        chain.mine_block()
+
+    def preimages(first_block, first_event):
+        blocks = [
+            codec.encode(codec.block_to_data(block))
+            for block in chain.blocks[first_block:]
+        ]
+        events = [
+            codec.encode(codec.event_record_to_data(record))
+            for record in chain.event_log.since(first_event)
+        ]
+        return blocks, events
+
+    new_blocks, new_events = preimages(*synced)
+    assert len({len(preimage) // 136 for preimage in new_blocks}) == 3
+    assert len({len(preimage) // 136 for preimage in new_events}) == 3
+
+    batches, singles = [], []
+    batched, single = trie.keccak256_many, trie.keccak256
+
+    def counted_many(messages):
+        batches.append(list(messages))
+        return batched(messages)
+
+    def counted_single(data):
+        singles.append(data)
+        return single(data)
+
+    monkeypatch.setattr(trie, "keccak256_many", counted_many)
+    monkeypatch.setattr(trie, "keccak256", counted_single)
+    cold = trie.ChainStateTrie()
+    roots = []
+    for tracker, (first_block, first_event) in ((warm, synced), (cold, (0, 0))):
+        blocks, events = preimages(first_block, first_event)
+        history = blocks + events
+        del batches[:]
+        roots.append(tracker.root(chain))
+        assert [
+            batch for batch in batches if set(batch) & set(history)
+        ] == [history]
+        assert singles == []
+    monkeypatch.undo()
+
+    blocks, events = preimages(0, 0)
+    reference = MerkleTrie()
+    reference.set_many(list(trie.live_items(chain).items()) + [
+        (trie.block_key(block.number), codec.encode(keccak256(preimage)))
+        for block, preimage in zip(chain.blocks, blocks)
+    ] + [
+        (trie.event_key(record.sequence), codec.encode(keccak256(preimage)))
+        for record, preimage in zip(chain.event_log.since(0), events)
+    ])
+    assert roots == [reference.root()] * 2
+    assert cold.trie.hash_computes == reference.hash_computes
+
+
 def test_tracker_survives_pickle_and_is_not_carried():
     outcome = seeded_outcome()
     chain = outcome.chain
