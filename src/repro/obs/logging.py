@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import sys
 import time
 from typing import Any, Dict, Optional
@@ -49,7 +50,11 @@ class _DynamicStreamHandler(logging.StreamHandler):
 
     A record the stream's reader is no longer there for (``... | head
     -1`` has exited) is dropped quietly; any other failure to emit is
-    reported the stdlib way.
+    reported the stdlib way.  The first such record also points the
+    stream's descriptor at the null device: a block-buffered stream
+    keeps the bytes its failed flush could not write, and would fail on
+    them again at interpreter exit (an ``Exception ignored`` line on
+    stderr and exit status 120).
     """
 
     def __init__(self, use_stderr: bool) -> None:
@@ -67,6 +72,16 @@ class _DynamicStreamHandler(logging.StreamHandler):
     def handleError(self, record: logging.LogRecord) -> None:
         if not isinstance(sys.exc_info()[1], BrokenPipeError):
             super().handleError(record)
+            return
+        try:
+            fd = self.stream.fileno()
+        except (AttributeError, OSError, ValueError):
+            return  # not backed by a descriptor: nothing is left to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, fd)
+        finally:
+            os.close(devnull)
 
 
 class _MaxLevelFilter(logging.Filter):

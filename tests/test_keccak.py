@@ -224,17 +224,18 @@ def test_a_batch_of_distinct_block_counts_is_one_wide_pass(monkeypatch):
 
 
 def test_a_long_message_beside_short_ones_stays_within_the_batch_s_bytes():
-    """One 2 MB message beside 63 one-byte ones hashes to the oracle's
+    """One 256 KB message beside 63 one-byte ones hashes to the oracle's
     digests.  Padding every message to the longest would hold 64 times
-    2 MB; the wide pass holds one step's blocks and the lane ints, so
-    the call's traced peak stays within twice the batch's own bytes.
+    256 KB (16 MB); the wide pass holds one step's blocks and the lane
+    ints (a traced peak near 110 KB at 64 slots), so the call's peak
+    stays within twice the batch's own bytes.
 
     tracemalloc slows this kernel about a hundredfold, and tracing all
-    15,421 permutations would take minutes, so tracing stops after the
-    call's first second, which covers whatever it set up before its
+    1,928 permutations would take tens of seconds, so tracing stops after
+    the call's first second, which covers whatever it set up before its
     first permutation and its widest steps; the rest runs untraced."""
     rng = random.Random(2)
-    batch = [rng.randbytes(2 << 20)] + [rng.randbytes(1) for _ in range(63)]
+    batch = [rng.randbytes(256 << 10)] + [rng.randbytes(1) for _ in range(63)]
     own = sum(len(data) for data in batch)
     peaks = []
 
