@@ -10,6 +10,12 @@ that a simulated Fiat–Shamir transcript verifies.
 keccak-256, while ``program(query, answer)`` installs an override.  A
 consistency guard refuses to program a point that has already been queried
 (that is exactly the event whose probability the ROM proof bounds).
+
+The process-wide :func:`default_oracle` answers every commitment, opening
+and Fiat–Shamir transcript of the real protocol, so it is plain keccak-256:
+it records no query (a long-lived node would otherwise keep every one it
+ever answered) and refuses to be programmed.  Simulators and tests that
+program pass their own :class:`RandomOracle`.
 """
 
 from __future__ import annotations
@@ -78,9 +84,22 @@ class RandomOracle:
         self._observed.clear()
 
 
-_DEFAULT_ORACLE = RandomOracle()
+class _KeccakOracle(RandomOracle):
+    """Plain keccak-256: remembers nothing, so it cannot be programmed."""
+
+    def query(self, data: bytes) -> bytes:
+        return keccak256(data)
+
+    def program(self, data: bytes, answer: bytes) -> None:
+        raise CryptoError(
+            "the default oracle is plain keccak-256 and cannot be "
+            "programmed; pass a RandomOracle to program one"
+        )
+
+
+_DEFAULT_ORACLE = _KeccakOracle()
 
 
 def default_oracle() -> RandomOracle:
-    """The process-wide default oracle (plain keccak-256 unless programmed)."""
+    """The process-wide default oracle: plain keccak-256, unprogrammable."""
     return _DEFAULT_ORACLE

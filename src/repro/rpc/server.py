@@ -703,8 +703,9 @@ class RpcNode:
     def _chain_header(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One link of the node's header chain (default: the newest).
 
-        ``ensure_header`` first, so out-of-block mutations (an account
-        registered, a log pruned) are committed to a fetchable header
+        ``ensure_header`` first, so the blocks sealed since the last
+        read get their headers, and out-of-block mutations (an account
+        registered, a log pruned) are committed to a fetchable header,
         before a client asks what the latest commitment is.
         """
         self._state_tracker.ensure_header(self.chain)

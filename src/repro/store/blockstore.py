@@ -252,7 +252,8 @@ class StateBaseline:
     """The chain as of the last capture: the one "what changed?" differ.
 
     :func:`block_record` diffs the WAL's baseline once per sealed block;
-    :class:`~repro.store.trie.ChainStateTrie` diffs its own per sync.
+    :class:`~repro.store.trie.ChainStateTrie` diffs its own per read, and
+    on a header-tracking node per sealed block too.
     Values are copied with :func:`~repro.chain.contract.snapshot_value`,
     deep over mutable containers, so a stored list mutated in place, or
     a key removed outside any transaction, still shows in the next diff.

@@ -23,11 +23,14 @@ verify single facts against, in three layers:
   against the tracker's own baseline: a read on an unchanged chain
   walks state once and encodes nothing.
 * :class:`Header` — the light-client anchor: a hash-chained
-  ``(height, parent, block_hash, state_root)`` record appended per
-  sealed block (and per out-of-block root change) when a node fronts
-  the chain.  :func:`verify_proof` checks a membership or
-  non-membership proof from ``repro.lightclient`` against a header's
-  ``state_root`` with no other trust.
+  ``(height, parent, block_hash, state_root)`` record, one per sealed
+  block (and per out-of-block root change) when a node fronts the
+  chain.  A sealed block's header is minted on the next read, which
+  hashes every block sealed since in one wide keccak pass; the
+  timeline is the one a sync per block gives.  :func:`verify_proof`
+  checks a membership or non-membership proof from
+  ``repro.lightclient`` against a header's ``state_root`` with no
+  other trust.
 
 Every leaf value is a single canonical :mod:`repro.store.codec`
 encoding; bulky append-only history (blocks, pruned-log event records)
@@ -42,7 +45,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.chain.blocks import GENESIS_HASH
 from repro.crypto.keccak import keccak256, keccak256_many
@@ -53,7 +56,8 @@ from repro.store.blockstore import StateBaseline, StateDiff
 
 _TRIE_SYNCS = _obs.REGISTRY.counter(
     "state_trie_syncs_total",
-    "Diff-sync passes reconciling the state trie with its live chain",
+    "State diffs taken to reconcile the state trie with its live chain "
+    "(one per read, and one per sealed block on a header-tracking node)",
 )
 _TRIE_UPDATES = _obs.REGISTRY.counter(
     "state_trie_updates_total",
@@ -567,6 +571,9 @@ def event_key(sequence: int) -> bytes:
 #: ``keccak256_many`` call: long enough to share one wide keccak pass
 #: among a checkpoint's worth of history, short enough that a cold
 #: rebuild over a long chain never holds every block's encoding at once.
+#: It also bounds a header-tracking tracker's queue of seals: a seal
+#: that would bring the queued history to this many items is applied at
+#: once, with the queue, so a read never finds a full batch waiting.
 _HISTORY_BATCH = 64
 
 
@@ -606,6 +613,39 @@ def live_items(
     return items
 
 
+def _history_leaves(
+    history: Iterator[Tuple[bytes, Any]]
+) -> Iterator[Tuple[bytes, bytes]]:
+    """``(key, leaf)`` for each ``(key, data)`` of new history.
+
+    A block's or event record's leaf is the encoded keccak digest of its
+    encoding; the digests are computed :data:`_HISTORY_BATCH` at a time,
+    one :func:`~repro.crypto.keccak.keccak256_many` call each, so items
+    of every length share one wide keccak pass.
+    """
+    while True:
+        batch = list(itertools.islice(history, _HISTORY_BATCH))
+        if not batch:
+            return
+        digests = keccak256_many([codec.encode(data) for _, data in batch])
+        for (key, _), digest in zip(batch, digests):
+            yield key, codec.encode(digest)
+
+
+class _Diff(NamedTuple):
+    """One captured state diff, waiting to be applied to the trie."""
+
+    #: The state leaves that changed, and the keys that are gone.
+    updates: List[Tuple[bytes, bytes]]
+    removed: List[bytes]
+    #: The new blocks and event records as ``(key, data)``, and how many.
+    history: Iterator[Tuple[bytes, Any]]
+    count: int
+    #: For a sealed block, the ``(height, block)`` its header names;
+    #: ``None`` for a read, whose caller mints a header or not.
+    seal: Optional[Tuple[int, Any]]
+
+
 # ---------------------------------------------------------------------------
 # The incremental tracker
 # ---------------------------------------------------------------------------
@@ -616,6 +656,15 @@ class ChainStateTrie:
 
     A fresh tracker's baseline is empty, so its first sync is the cold
     build; blocks and event records advance by counter.
+
+    With :attr:`track_headers` on, headers are minted on read: each
+    sealed block's diff is captured when it is sealed and queued, and
+    the next read (:meth:`root`, :meth:`prove`, :meth:`ensure_header`,
+    :meth:`anchored_proof`) applies the queue first, hashing the history
+    of every queued block in one wide keccak pass, then block by block
+    reaching the root and minting the header the block's own sync would
+    have.  The header timeline, roots and proofs are the ones a sync per
+    block gives; only when the hashing happens moves.
 
     Not pickled: ``Chain.__getstate__`` drops it and a resumed chain
     rebuilds lazily on the first ``root()`` read — the trie root is a
@@ -629,13 +678,18 @@ class ChainStateTrie:
     def __init__(self) -> None:
         self.trie = MerkleTrie()
         #: Hash-chained commitment timeline (only grown when a node
-        #: front-end enables :attr:`track_headers`).
+        #: front-end enables :attr:`track_headers`).  Read it after
+        #: :meth:`ensure_header`: seals still queued have no header yet.
         self.headers: List[Header] = []
         self.track_headers = False
         self._baseline = StateBaseline()
         self._blocks = 0
         self._event_base = 0
         self._event_head = 0
+        #: Captured seals not yet applied, and their history items
+        #: (always fewer than :data:`_HISTORY_BATCH`).
+        self._queue: List[_Diff] = []
+        self._queued = 0
         self._lock = threading.RLock()
 
     # -- syncing -----------------------------------------------------------
@@ -669,23 +723,23 @@ class ChainStateTrie:
         return index, header, proof
 
     def _sync(self, chain) -> bytes:
-        """Bring the trie up to date with ``chain`` and return its root.
+        """Apply the queued seals, then bring the trie up to date with
+        ``chain``; returns its root."""
+        diffs = self._queue + [self._capture(chain)]
+        self._queue, self._queued = [], 0
+        return self._apply(diffs)
 
-        Every update is gathered first and applied in one
-        :meth:`MerkleTrie.set_many`, so the paths of keys new to the
-        trie are hashed in one batch.  The new blocks and event records
-        enter as the digests of their encodings, hashed together, one
-        :func:`~repro.crypto.keccak.keccak256_many` call per
-        :data:`_HISTORY_BATCH` items, so blocks and events of every
-        length share one wide keccak pass.  Deletions touch keys
-        disjoint from the updates and the trie is canonical, so applying
-        them after the updates changes neither the root nor which nodes
-        re-hash.
+    def _capture(self, chain, seal: Optional[Tuple[int, Any]] = None) -> _Diff:
+        """What changed in ``chain`` since the last capture, as trie
+        leaves; the baseline and the history counters move past it.
+
+        The state diff is encoded now, so a later mutation cannot leak
+        into it; blocks and event records are append-only, so their
+        encodings wait for :meth:`_apply`.
         """
-        trie = self.trie
-        hashed_before = trie.hash_computes
         diff = self._baseline.diff(chain)
         items = live_items(chain, diff)
+        self._baseline.advance(diff)
         updates = [
             (key, leaf) for key, leaf in items.items() if leaf is not None
         ]
@@ -710,67 +764,100 @@ class ChainStateTrie:
                 for record in records
             ),
         )
-        while True:
-            batch = list(itertools.islice(history, _HISTORY_BATCH))
-            if not batch:
-                break
-            digests = keccak256_many([codec.encode(data) for _, data in batch])
-            updates.extend(
-                (key, codec.encode(digest))
-                for (key, _), digest in zip(batch, digests)
-            )
+        count = len(blocks) - self._blocks + len(records)
         self._blocks = len(blocks)
         self._event_base = base
         self._event_head = head
-
-        trie.set_many(updates)
-        for key in removed:
-            trie.delete(key)
-        self._baseline.advance(diff)
-        root = trie.root()
         _TRIE_SYNCS.inc()
-        if updates:
-            _TRIE_UPDATES.inc(len(updates), op="set")
-        if removed:
-            _TRIE_UPDATES.inc(len(removed), op="delete")
-        hashed = trie.hash_computes - hashed_before
-        if hashed:
-            _TRIE_HASHES.inc(hashed)
+        return _Diff(updates, removed, history, count, seal)
+
+    def _apply(self, diffs: List[_Diff]) -> bytes:
+        """Apply captured diffs in order; returns the last root.
+
+        The history of every diff is hashed together first, one
+        :func:`~repro.crypto.keccak.keccak256_many` call per
+        :data:`_HISTORY_BATCH` items.  Then each diff is applied as a
+        sync of its own: one :meth:`MerkleTrie.set_many`, so the paths
+        of keys new to the trie are hashed in one batch, its deletions,
+        its root, and for a seal the header that root gets.  Deletions
+        touch keys disjoint from the updates and the trie is canonical,
+        so applying them after the updates changes neither the root nor
+        which nodes re-hash.
+        """
+        trie = self.trie
+        leaves = _history_leaves(
+            itertools.chain.from_iterable(diff.history for diff in diffs)
+        )
+        for diff in diffs:
+            hashed_before = trie.hash_computes
+            updates = diff.updates + list(itertools.islice(leaves, diff.count))
+            trie.set_many(updates)
+            for key in diff.removed:
+                trie.delete(key)
+            root = trie.root()
+            if updates:
+                _TRIE_UPDATES.inc(len(updates), op="set")
+            if diff.removed:
+                _TRIE_UPDATES.inc(len(diff.removed), op="delete")
+            hashed = trie.hash_computes - hashed_before
+            if hashed:
+                _TRIE_HASHES.inc(hashed)
+            if diff.seal is not None:
+                self._mint(root, *diff.seal)
         return root
 
     # -- headers -----------------------------------------------------------
+
+    def _mint(self, root: bytes, height: int, block) -> Header:
+        """Append a header for ``root`` unless the newest commits to it."""
+        headers = self.headers
+        if not headers or headers[-1].state_root != root:
+            headers.append(Header(
+                height,
+                headers[-1].header_hash() if headers else HEADER_GENESIS,
+                block.block_hash() if block is not None else GENESIS_HASH,
+                root,
+            ))
+        return headers[-1]
 
     def ensure_header(self, chain) -> Header:
         """The header committing to the chain's *current* root.
 
         Appends a new link when the root moved since the last header —
-        per sealed block via :meth:`on_block`, and for out-of-block
-        mutations (account registration, event-log pruning) the moment
-        a proof or header is requested, so served proofs always verify
-        against a served header.
+        per sealed block (minted when the next read applies the queued
+        seal, see :meth:`on_block`), and for out-of-block mutations
+        (account registration, event-log pruning) the moment a proof or
+        header is requested, so served proofs always verify against a
+        served header.
         """
         with self._lock:
             root = self._sync(chain)
-            if not self.headers or self.headers[-1].state_root != root:
-                parent = (
-                    self.headers[-1].header_hash()
-                    if self.headers
-                    else HEADER_GENESIS
-                )
-                block_hash = (
-                    chain.blocks[-1].block_hash()
-                    if chain.blocks
-                    else GENESIS_HASH
-                )
-                self.headers.append(
-                    Header(chain.height, parent, block_hash, root)
-                )
-            return self.headers[-1]
+            return self._mint(
+                root, chain.height, chain.blocks[-1] if chain.blocks else None
+            )
 
     def on_block(self, chain, block) -> None:
-        """Per-sealed-block hook (wired through ``Chain._notify_store``)."""
-        if self.track_headers:
-            self.ensure_header(chain)
+        """Per-sealed-block hook (wired through ``Chain._notify_store``).
+
+        A header-tracking tracker captures the block's diff now and
+        queues it; the next read hashes and applies it and mints its
+        header.  A seal that would bring the queued history to
+        :data:`_HISTORY_BATCH` items goes through :meth:`ensure_header`
+        instead, so the queue stays under one batch.
+        """
+        if not self.track_headers:
+            return
+        with self._lock:
+            log = chain.event_log
+            fresh = len(chain.blocks) - self._blocks + max(
+                0, len(log) - max(self._event_head, log.pruned)
+            )
+            if self._queued + fresh < _HISTORY_BATCH:
+                diff = self._capture(chain, (chain.height, block))
+                self._queue.append(diff)
+                self._queued += diff.count
+                return
+        self.ensure_header(chain)
 
 
 def chain_state_trie(chain) -> ChainStateTrie:

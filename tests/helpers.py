@@ -6,6 +6,7 @@ from repro.chain.transactions import scoped_tx_nonces
 from repro.core.protocol import run_hit
 from repro.core.task import HITTask, TaskParameters
 from repro.crypto.rng import deterministic_entropy
+from repro.store.trie import ChainStateTrie
 
 
 def small_task(
@@ -43,3 +44,23 @@ def seeded_outcome():
     ``state_root`` is pinned as ``GOLDEN_SEEDED_ROOT``."""
     with scoped_tx_nonces(), deterministic_entropy(7):
         return run_hit(small_task(), [[0] * 10, [1] * 10])
+
+
+class EagerHeaders:
+    """A chain store that brings its own tracker up to date at every
+    seal: the header timeline a read after every sealed block gives.
+
+    It rides the chain's store hook, so the chain's own tracker keeps
+    its place and can read as lazily as a test likes.
+    """
+
+    def __init__(self, chain) -> None:
+        self.tracker = ChainStateTrie()
+        self.tracker.ensure_header(chain)
+        chain.attach_store(self)
+
+    def on_attach(self, chain) -> None:
+        pass
+
+    def on_block(self, chain, block) -> None:
+        self.tracker.ensure_header(chain)

@@ -320,3 +320,30 @@ def test_the_client_resends_exactly_the_server_read_methods():
     resent = {method for method, flag in transport.flags.items() if flag}
     assert resent == READ_METHODS
     assert "node_metrics" in resent
+
+
+def test_headers_read_after_a_run_of_mines_match_a_read_after_each():
+    """A node mints the header of a sealed block on the next read.  Read
+    once after three ``chain_mine``s, it serves the same headers and
+    proofs as a node read after every mine: the anchor plus one header
+    per sealed block."""
+    answers = []
+    for read_after_each in (False, True):
+        session = RpcSession(LoopbackTransport(RpcNode()))
+        session.call("tx_register", label="alice", balance=100)
+        for mined in range(3):
+            session.call("chain_mine")
+            if read_after_each:
+                session.call("chain_header")
+            if mined == 0:
+                session.call("tx_register", label="bob", balance=5)
+        count = session.call("chain_header")["count"]
+        keys = [
+            trie.account_key(Address.from_label(label)) for label in ("alice", "bob")
+        ] + [trie.block_key(number) for number in range(3)]
+        answers.append((
+            [session.call("chain_header", index=index) for index in range(count)],
+            [session.call("get_proof", key=key.hex()) for key in keys],
+        ))
+    assert answers[0] == answers[1]
+    assert len(answers[0][0]) == 4

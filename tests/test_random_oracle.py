@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.crypto.commitment import commit, open_commitment
+from repro.crypto.elgamal import keygen
 from repro.crypto.keccak import keccak256
 from repro.crypto.random_oracle import (
     OracleConsistencyError,
     RandomOracle,
     default_oracle,
 )
+from repro.crypto.vpke import prove_decryption, simulate_proof, verify_decryption
 from repro.errors import CryptoError
 
 
@@ -74,6 +77,37 @@ def test_reset_clears_programming():
 
 def test_default_oracle_is_singleton():
     assert default_oracle() is default_oracle()
+
+
+def test_the_default_oracle_records_nothing():
+    """The process-wide oracle answers every commitment, opening and
+    Fiat–Shamir transcript of a node's life; it must not keep them."""
+    oracle = default_oracle()
+    public_key, secret_key = keygen()
+    for index in range(300):
+        message = b"answer-%d" % index
+        commitment, key = commit(message)
+        assert open_commitment(commitment, message, key)
+    for index in range(20):
+        ciphertext = public_key.encrypt(index % 4)
+        claim, proof = prove_decryption(secret_key, ciphertext, range(4))
+        assert verify_decryption(public_key, claim, ciphertext, proof)
+    assert oracle.query(b"x") == keccak256(b"x")
+    assert oracle._observed == set()
+    assert oracle.programmed_count == 0
+
+
+def test_the_default_oracle_refuses_programming():
+    """A simulator must bring its own oracle: programming the shared one
+    would change the answers every honest party gets."""
+    oracle = default_oracle()
+    with pytest.raises(CryptoError, match="pass a RandomOracle"):
+        oracle.program(b"point", b"\x01" * 32)
+    assert not oracle.is_programmed(b"point")
+    assert oracle.query(b"point") == keccak256(b"point")
+    public_key, _ = keygen()
+    with pytest.raises(CryptoError, match="pass a RandomOracle"):
+        simulate_proof(public_key, 1, public_key.encrypt(1))
 
 
 def test_programmed_count():

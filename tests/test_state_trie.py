@@ -36,7 +36,7 @@ from repro.store.trie import (
     chain_state_trie,
     verify_proof,
 )
-from tests.helpers import seeded_outcome
+from tests.helpers import EagerHeaders, seeded_outcome
 
 #: ``state_root`` of ``seeded_outcome()``'s chain, pinned as bytes.
 #: Moves only on a deliberate trie/codec schema change.
@@ -589,6 +589,93 @@ def test_a_sync_hashes_its_new_blocks_and_events_in_one_batch(monkeypatch):
     ])
     assert roots == [reference.root()] * 2
     assert cold.trie.hash_computes == reference.hash_computes
+
+
+def test_a_catch_up_hashes_its_queued_history_in_one_pass_per_batch(
+    monkeypatch,
+):
+    """Blocks sealed on a header-tracking tracker queue until a read.
+
+    Three blocks with events of three sizes (17 history items) queue,
+    and the read that catches up hashes all of them in one
+    ``keccak256_many`` call.  Then blocks of ten items each queue until
+    the seal that would bring the queue to 64 items catches up at once:
+    70 items in two calls.  No history item is hashed alone, and the
+    headers are the ones a read after every block mints."""
+    chain = Chain()
+    owner = chain.register_account("owner", 10)
+    chain.deploy(_Echo("echo"), owner)
+    lazy = chain_state_trie(chain)
+    lazy.track_headers = True
+    lazy.ensure_header(chain)
+    twin = EagerHeaders(chain)
+    eager_on_block, twin_busy = twin.on_block, []
+
+    def uncounted_on_block(chain, block):
+        twin_busy.append(True)  # the twin's own hashing is not counted
+        eager_on_block(chain, block)
+        twin_busy.pop()
+
+    twin.on_block = uncounted_on_block
+    batches, singles = [], []
+    batched, single = trie.keccak256_many, trie.keccak256
+
+    def counted_many(messages):
+        if not twin_busy:
+            batches.append(list(messages))
+        return batched(messages)
+
+    def counted_single(data):
+        if not twin_busy:
+            singles.append(data)
+        return single(data)
+
+    def seal(shouts, size):
+        for _ in range(shouts):
+            chain.send(owner, "echo", "shout",
+                       args=(bytes(size),), payload=bytes(size))
+        chain.mine_block()
+
+    def history_since(first_block, first_event):
+        return [
+            codec.encode(codec.block_to_data(block))
+            for block in chain.blocks[first_block:]
+        ] + [
+            codec.encode(codec.event_record_to_data(record))
+            for record in chain.event_log.since(first_event)
+        ]
+
+    def history_batches(history):
+        """The sizes of the calls that hashed ``history``, if they hashed
+        all of it and nothing else; the empty list if none touched it."""
+        calls = [batch for batch in batches if set(batch) & set(history)]
+        assert sorted(sum(calls, [])) == (sorted(history) if calls else [])
+        return [len(batch) for batch in calls]
+
+    monkeypatch.setattr(trie, "keccak256_many", counted_many)
+    monkeypatch.setattr(trie, "keccak256", counted_single)
+    start = (len(chain.blocks), len(chain.event_log))
+    for shouts, size in ((1, 10), (4, 300), (9, 1000)):
+        seal(shouts, size)
+    assert lazy._queued == 17 and history_batches(history_since(*start)) == []
+    lazy.ensure_header(chain)
+    assert history_batches(history_since(*start)) == [17]
+
+    start = (len(chain.blocks), len(chain.event_log))
+    for _ in range(6):
+        seal(9, 10)
+    assert lazy._queued == 60 and history_batches(history_since(*start)) == []
+    seal(9, 10)
+    history = history_since(*start)
+    assert len(history) == 70 and lazy._queue == []
+    assert history_batches(history) == [64, 6]
+    monkeypatch.undo()
+
+    assert {data[:1] for data in singles} == {trie._HEADER_TAG}
+    assert [header.header_hash() for header in lazy.headers] == [
+        header.header_hash() for header in twin.tracker.headers
+    ]
+    assert len(lazy.headers) == 1 + 3 + 7
 
 
 def test_tracker_survives_pickle_and_is_not_carried():

@@ -18,6 +18,15 @@ Invariants, after every step:
   (``NodeStore.open(dir).load()``) reaches the live root;
 * **I-5:** a reverted call leaves the root unchanged, apart from the
   block that carries it, the clock tick and the sender's gas.
+
+A second machine pins headers minted on read.  The chain's own tracker
+tracks headers and reads only when a rule asks: a header, a proof cut
+from one, a bare proof or the state root.  A twin tracker brings itself
+up to date after every sealed block, the timeline a sync per block
+gives.  Between seals, rules register accounts and prune the event log;
+bursts of blocks full of events push the queued history to its bound.
+At every read both trackers answer the same header lists, proofs and
+roots, and the lazy one never queues a whole history batch.
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from hypothesis.stateful import (
 
 from repro.chain.chain import Chain
 from repro.chain.contract import CallContext, Contract
-from repro.store import NodeStore, codec
+from repro.store import NodeStore, codec, trie
 from repro.store.trie import ChainStateTrie, chain_state_trie
+from tests.helpers import EagerHeaders
 
 LABELS = ["acct-%d" % index for index in range(4)]
 SLOTS = st.sampled_from(["x", "y"])
@@ -213,5 +223,130 @@ class StateRootMachine(RuleBasedStateMachine):
 
 TestStateRootMachine = StateRootMachine.TestCase
 TestStateRootMachine.settings = settings(
+    max_examples=20, stateful_step_count=30, deadline=None
+)
+
+
+def _hashes(headers):
+    return [header.header_hash() for header in headers]
+
+
+class HeaderTimelineMachine(RuleBasedStateMachine):
+    """Headers minted on read equal the ones a read per block mints."""
+
+    @initialize()
+    def setup(self):
+        self.chain = Chain()
+        self.deployer = self.chain.register_account("deployer", 1_000)
+        self.lazy = chain_state_trie(self.chain)
+        self.lazy.track_headers = True
+        self.lazy.ensure_header(self.chain)
+        self.eager = EagerHeaders(self.chain).tracker
+        self.boxes = []
+        self.deploy(faulty=False)
+
+    def _box(self, pick: int) -> StateBox:
+        return self.boxes[pick % len(self.boxes)]
+
+    def _key(self, kind: str, pick: int) -> bytes:
+        chain = self.chain
+        if kind == "account":
+            return trie.account_key(
+                chain.registry.lookup(LABELS[pick % len(LABELS)])
+                or self.deployer
+            )
+        if kind == "block":
+            return trie.block_key(pick % max(chain.height, 1))
+        if kind == "event":
+            return trie.event_key(pick % max(len(chain.event_log), 1))
+        if kind == "storage":
+            return trie.storage_key(self._box(pick).name, "x")
+        return trie.meta_key("period")
+
+    # -- between blocks --------------------------------------------------------
+
+    @rule(label=st.sampled_from(LABELS), funded=st.booleans())
+    def register(self, label, funded):
+        self.chain.register_account(label, 50 if funded else 0)
+
+    @rule()
+    def prune_events(self):
+        self.chain.event_log.prune()
+
+    # -- blocks ----------------------------------------------------------------
+
+    @rule(faulty=st.booleans())
+    def deploy(self, faulty):
+        name = "box-%d" % self.chain.height
+        contract = FaultyBox(name) if faulty else StateBox(name)
+        self.chain.deploy(contract, self.deployer)
+        if not faulty:
+            self.boxes.append(contract)
+
+    @rule(pick=st.integers(0, 3), slot=SLOTS, value=VALUES)
+    def write_slot(self, pick, slot, value):
+        self.chain.send(self.deployer, self._box(pick).name, "put", (slot, value))
+        self.chain.mine_block()
+
+    @rule(blocks=st.integers(1, 6), puts=st.integers(0, 8))
+    def burst(self, blocks, puts):
+        """Blocks of ``puts`` events each, up to 54 history items."""
+        for _ in range(blocks):
+            for index in range(puts):
+                self.chain.send(
+                    self.deployer, self._box(index).name, "put", ("y", index)
+                )
+            self.chain.mine_block()
+
+    @rule()
+    def mine_empty_block(self):
+        self.chain.mine_block()
+
+    # -- reads -----------------------------------------------------------------
+
+    @rule()
+    def read_header(self):
+        lazy = self.lazy.ensure_header(self.chain)
+        assert lazy == self.eager.ensure_header(self.chain)
+        assert _hashes(self.lazy.headers) == _hashes(self.eager.headers)
+
+    @rule(kind=st.sampled_from(["account", "block", "event", "storage", "meta"]),
+          pick=st.integers(0, 7))
+    def read_anchored_proof(self, kind, pick):
+        key = self._key(kind, pick)
+        index, header, proof = self.lazy.anchored_proof(self.chain, key)
+        twin = self.eager.anchored_proof(self.chain, key)
+        assert (index, header.header_hash(), codec.encode(proof)) == (
+            twin[0], twin[1].header_hash(), codec.encode(twin[2])
+        )
+        assert _hashes(self.lazy.headers) == _hashes(self.eager.headers)
+
+    @rule(kind=st.sampled_from(["account", "block", "event", "storage", "meta"]),
+          pick=st.integers(0, 7))
+    def read_proof(self, kind, pick):
+        key = self._key(kind, pick)
+        assert codec.encode(self.lazy.prove(self.chain, key)) == codec.encode(
+            self.eager.prove(self.chain, key)
+        )
+
+    @rule()
+    def read_state_root(self):
+        assert self.lazy.root(self.chain) == self.eager.root(self.chain)
+
+    # -- invariants ------------------------------------------------------------
+
+    @invariant()
+    def the_queue_stays_under_one_history_batch(self):
+        queued = sum(diff.count for diff in self.lazy._queue)
+        assert queued == self.lazy._queued < trie._HISTORY_BATCH
+
+    @invariant()
+    def minted_headers_are_the_eager_timeline_s_prefix(self):
+        minted = _hashes(self.lazy.headers)
+        assert minted == _hashes(self.eager.headers)[:len(minted)]
+
+
+TestHeaderTimelineMachine = HeaderTimelineMachine.TestCase
+TestHeaderTimelineMachine.settings = settings(
     max_examples=20, stateful_step_count=30, deadline=None
 )
