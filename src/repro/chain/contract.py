@@ -103,10 +103,6 @@ class Contract:
         ctx.meter.charge_sstore(fresh=fresh)
         self.storage[key] = value
 
-    def _sstore_many(self, ctx: CallContext, items: Dict[str, Any]) -> None:
-        for key, value in items.items():
-            self._sstore(ctx, key, value)
-
     def _sload(self, ctx: CallContext, key: str, default: Any = None) -> Any:
         """Read one storage slot, charging SLOAD."""
         ctx.meter.charge_sload()

@@ -199,9 +199,5 @@ class WorkerClient:
     # Observation
     # ------------------------------------------------------------------
 
-    def was_paid(self) -> bool:
-        """Whether this worker received a task payment on the ledger."""
-        return bool(self.chain.ledger.payments_to(self.address))
-
     def balance(self) -> int:
         return self.chain.ledger.balance_of(self.address)

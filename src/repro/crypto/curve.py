@@ -7,16 +7,20 @@ Ethereum's EIP-196/EIP-1108 precompiles, which is exactly why the paper
 instantiates every public-key primitive over it.
 
 Internally the hot paths work on raw ints in Jacobian projective
-coordinates.  A variable-base multiplication (``ec_mul``, ``G1Point * k``)
-uses the curve's endomorphism phi(x, y) = (BETA * x, y) = LAMBDA * (x, y)
-(Gallant, Lambert and Vanstone, CRYPTO 2001): it splits the scalar into two
-halves below 2^126, recodes each in width-5 NAF, and walks both at once, so
-a multiplication costs ~126 doublings and ~42 mixed additions instead of the
-~254 doublings and ~127 additions of binary double-and-add.  A fixed-base
-multiplication (:func:`mul_fixed`) reads a cached :class:`FixedBaseTable`
-and does no doubling at all.  Both keep their precomputed multiples in
-affine form, normalized with one inversion (Montgomery's trick), so every
-addition in their loops is a mixed Jacobian-plus-affine addition.
+coordinates.  Both scalar multiplications use the curve's endomorphism
+phi(x, y) = (BETA * x, y) = LAMBDA * (x, y) (Gallant, Lambert and
+Vanstone, CRYPTO 2001) to split the scalar into two halves below 2^126.  A
+variable-base multiplication (``ec_mul``, ``G1Point * k``) recodes each
+half in width-5 NAF and walks both at once, so it costs ~126 doublings and
+~42 mixed additions instead of the ~254 doublings and ~127 additions of
+binary double-and-add.  A fixed-base multiplication (:func:`mul_fixed`)
+reads a cached :class:`FixedBaseTable`, with rows for one half and their
+phi images, and does no doubling at all.  Both keep their precomputed
+multiples in affine form, normalized with one inversion (Montgomery's
+trick), so every addition in their loops is a mixed Jacobian-plus-affine
+addition.  :meth:`FixedBaseTable.multiply_jacobian` leaves its result in
+Jacobian form, so a caller with many results (an ElGamal answer vector)
+normalizes them all with one inversion.
 
 The public API is :class:`G1Point`, an immutable affine point with operator
 overloading, plus module-level helpers mirroring the precompile interface
@@ -55,12 +59,13 @@ _obs.REGISTRY.gauge(
 )
 _obs.REGISTRY.counter(
     "fixed_base_cache_hits_total",
-    "mul_fixed lookups served from a cached table",
+    "Fixed-base table lookups served from the cache (one per mul_fixed"
+    " call, one per table for a whole ElGamal vector)",
     sampler=lambda: _FIXED_BASE_CACHE_HITS,
 )
 _obs.REGISTRY.counter(
     "fixed_base_cache_misses_total",
-    "mul_fixed lookups that had to build a table",
+    "Fixed-base table lookups that had to build a table",
     sampler=lambda: _FIXED_BASE_CACHE_MISSES,
 )
 
@@ -144,22 +149,58 @@ def _jacobian_add(p: _Jacobian, q: _Jacobian) -> _Jacobian:
     return (nx, ny, nz)
 
 
-def _batch_to_affine(points: Sequence[_Jacobian]) -> List[Tuple[int, int]]:
-    """Finite Jacobian points to affine with one inversion (Montgomery's trick)."""
+def _batch_inverse(values: Sequence[int]) -> List[int]:
+    """Inverses of non-zero field elements with one inversion (Montgomery's trick)."""
+    if not values:
+        return []
     prefix = []
     running = 1
-    for _, _, z in points:
+    for value in values:
         prefix.append(running)
-        running = running * z % _P
+        running = running * value % _P
     inverse = inv_mod(running, _P)
-    affine: list = [None] * len(points)
-    for index in range(len(points) - 1, -1, -1):
-        x, y, z = points[index]
-        z_inv = inverse * prefix[index] % _P
-        inverse = inverse * z % _P
-        z_inv_sq = z_inv * z_inv % _P
-        affine[index] = (x * z_inv_sq % _P, y * z_inv_sq * z_inv % _P)
+    inverses = [0] * len(values)
+    for index in range(len(values) - 1, -1, -1):
+        inverses[index] = inverse * prefix[index] % _P
+        inverse = inverse * values[index] % _P
+    return inverses
+
+
+def _batch_to_affine(points: Sequence[_Jacobian]) -> List[Affine]:
+    """Jacobian points to affine with one inversion; infinity maps to ``None``."""
+    inverses = _batch_inverse([z or 1 for _, _, z in points])
+    affine: List[Affine] = []
+    for (x, y, z), z_inv in zip(points, inverses):
+        if z:
+            z_inv_sq = z_inv * z_inv % _P
+            affine.append((x * z_inv_sq % _P, y * z_inv_sq * z_inv % _P))
+        else:
+            affine.append(None)
     return affine
+
+
+def _batch_affine_add(
+    pairs: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]]
+) -> List[Tuple[int, int]]:
+    """``p + q`` for affine pairs with ``p != +-q``, sharing one inversion."""
+    inverses = _batch_inverse([(q[0] - p[0]) % _P for p, q in pairs])
+    sums = []
+    for ((x1, y1), (x2, y2)), inverse in zip(pairs, inverses):
+        slope = (y2 - y1) * inverse % _P
+        x3 = (slope * slope - x1 - x2) % _P
+        sums.append((x3, (slope * (x1 - x3) - y1) % _P))
+    return sums
+
+
+def _jacobian_matches(point: _Jacobian, affine: Affine) -> bool:
+    """Whether a Jacobian point equals an affine one, without an inversion:
+    ``x * Z^2 == X`` and ``y * Z^3 == Y``."""
+    X, Y, Z = point
+    if affine is None or not Z:
+        return affine is None and not Z
+    x, y = affine
+    zz = Z * Z % _P
+    return (x * zz - X) % _P == 0 and (y * zz * Z - Y) % _P == 0
 
 
 # The GLV endomorphism.  _BETA is a cube root of unity mod p and _LAMBDA one
@@ -176,6 +217,11 @@ _GLV_A2 = 147946756881789319010696353538189108491
 _GLV_B2 = 9931322734385697763
 _HALF_ORDER = CURVE_ORDER // 2
 _WNAF_WIDTH = 5
+#: Bits of a GLV half: rounding leaves each within half the basis's summed
+#: coordinates, (|A1| + |A2|) / 2 = (|B1| + |B2|) / 2 < 2^125.8.
+_GLV_HALF_BITS = (
+    max(abs(_GLV_A1) + abs(_GLV_A2), abs(_GLV_B1) + abs(_GLV_B2)) // 2 + 1
+).bit_length()
 
 
 def _glv_split(scalar: int) -> Tuple[int, int]:
@@ -447,78 +493,106 @@ class FixedBaseTable:
     """Precomputed signed 4-bit-window multiples of a fixed base point.
 
     Scalar multiplication against a fixed base (the generator, a public
-    key) recurs throughout the protocol.  Row ``w`` holds
-    ``d * 16^w * P`` for ``d = 1..8`` in affine form, normalized at build
-    with one inversion.  A multiplication recodes the scalar into digits
-    in ``[-7, 8]`` and adds one entry per non-zero digit (``y`` negated
-    for a negative one): ~60 mixed additions and no doublings.  A build
-    costs ~380 additions, ~130 doublings and one batch normalization, so
-    it pays off after a handful of uses; :func:`mul_fixed` caches tables
+    key) recurs throughout the protocol.  A multiplication splits the
+    scalar into its two GLV halves, ``scalar = k1 + k2 * LAMBDA`` with
+    both below 2^126, so the table needs rows for a half only: row ``w``
+    holds ``d * 16^w * P`` for ``d = 1..8`` in affine form, and its phi
+    row the same multiples of ``phi(P) = LAMBDA * P``, read off as
+    ``(BETA * x, y)``.  Each half is recoded into digits in ``[-7, 8]``
+    and one entry is added per non-zero digit (``y`` negated where the
+    digit's sign and its half's sign differ): ~60 mixed additions and no
+    doublings.
+
+    A build is one chain of ~130 doublings (``2^i * P``), normalized
+    with one inversion, plus the rows' 3, 5, 6 and 7 multiples as
+    ``1 + 2``, ``1 + 4``, ``2 + 4`` and ``8 - 1``: affine additions that
+    share one more inversion.  That is ~1.6 ms against the ~5.9 ms of
+    a table of 64 full-scalar windows (python 3.11, 2-vCPU VM), so it
+    pays off after a handful of uses; :func:`mul_fixed` caches tables
     per base point.
+
+    The additions need no branch for ``H = 0`` (accumulator equal to
+    ``+-T``, the entry being added).  Both are ``(a + b * LAMBDA) * P``
+    for integer pairs: the accumulator's are partial sums of the halves'
+    digits (k1's windows first, then k2's, each from the bottom), and
+    digits below a window sum to less than its weight, while a half's
+    top digit is at most 4, so the two pairs differ by less than 2^126.2
+    in each coordinate.  Every non-zero vector of the lattice has a
+    coordinate of at least ``r / max(|A1| + |B1|, |A2| + |B2|)``, about
+    2^126.8 (Cramer's rule on the basis), so the points coincide only as
+    integer pairs, which the recoding rules out.  For the same reason the
+    accumulator is at infinity only before its first addition.
     """
 
     WINDOW_BITS = 4
-    #: Enough windows for any reduced scalar plus the recoding's carry.
-    NUM_WINDOWS = (CURVE_ORDER.bit_length() + WINDOW_BITS) // WINDOW_BITS
+    #: Enough windows for a GLV half plus the recoding's carry.
+    NUM_WINDOWS = (_GLV_HALF_BITS + WINDOW_BITS) // WINDOW_BITS
 
     def __init__(self, base: Affine) -> None:
         self.base = base
         self._rows: List[List[Tuple[int, int]]] = []
+        self._phi_rows: List[List[Tuple[int, int]]] = []
         if base is None:
             return
-        half = 1 << (self.WINDOW_BITS - 1)
-        points: List[_Jacobian] = []
-        step = _to_jacobian(base)
-        for _ in range(self.NUM_WINDOWS):
-            row = [step, _jacobian_double(step)]
-            while len(row) < half:
-                row.append(_jacobian_add(row[-1], step))
-            points.extend(row)
-            step = _jacobian_double(row[-1])
-        affine = _batch_to_affine(points)
-        self._rows = [
-            affine[start:start + half] for start in range(0, len(affine), half)
-        ]
+        P = _P
+        chain = [_to_jacobian(base)]
+        for _ in range(self.WINDOW_BITS * self.NUM_WINDOWS - 1):
+            chain.append(_jacobian_double(chain[-1]))
+        powers = _batch_to_affine(chain)
+        windows = [powers[start:start + 4] for start in range(0, len(powers), 4)]
+        between = _batch_affine_add([
+            pair
+            for one, two, four, eight in windows
+            for pair in (
+                (one, two), (one, four), (two, four), ((one[0], P - one[1]), eight)
+            )
+        ])
+        for index, (one, two, four, eight) in enumerate(windows):
+            three, five, six, seven = between[4 * index:4 * index + 4]
+            row = [one, two, three, four, five, six, seven, eight]
+            self._rows.append(row)
+            self._phi_rows.append([(_BETA * x % P, y) for x, y in row])
 
     def multiply(self, scalar: int) -> Affine:
+        return _from_jacobian(self.multiply_jacobian(scalar))
+
+    def multiply_jacobian(self, scalar: int) -> _Jacobian:
+        """:meth:`multiply` left in Jacobian form, for a caller that
+        normalizes many results with one inversion."""
         scalar %= CURVE_ORDER
         if not scalar or not self._rows:
-            return None
+            return _INFINITY_J
         P = _P
-        rows = self._rows
-        X, Y, Z = _INFINITY_J
-        window = 0
-        while scalar:
-            digit = scalar & 0xF
-            scalar >>= 4
-            if digit > 8:
-                digit -= 16
-                scalar += 1
-            if digit:
-                if digit > 0:
-                    x2, y2 = rows[window][digit - 1]
-                else:
-                    x2, y2 = rows[window][-digit - 1]
-                    y2 = P - y2
-                if not Z:
-                    X, Y, Z = x2, y2, 1
-                else:
-                    zz = Z * Z % P
-                    H = (x2 * zz - X) % P
-                    R = (y2 * zz * Z - Y) % P
-                    if H == 0:
-                        # acc == +-T: the doubling or infinity cases.
-                        X, Y, Z = _jacobian_add((X, Y, Z), (x2, y2, 1))
-                    else:
-                        HH = H * H % P
-                        HHH = H * HH % P
-                        V = X * HH % P
-                        X3 = (R * R - HHH - 2 * V) % P
-                        Y = (R * (V - X3) - Y * HHH) % P
-                        X = X3
-                        Z = Z * H % P
-            window += 1
-        return _from_jacobian((X, Y, Z))
+        adds = []
+        for half, rows in zip(_glv_split(scalar), (self._rows, self._phi_rows)):
+            negative = half < 0
+            half = abs(half)
+            window = 0
+            while half:
+                digit = half & 0xF
+                half >>= 4
+                if digit > 8:
+                    digit -= 16
+                    half += 1
+                if digit:
+                    x, y = rows[window][abs(digit) - 1]
+                    adds.append((x, P - y) if (digit < 0) != negative else (x, y))
+                window += 1
+        entries = iter(adds)
+        X, Y = next(entries)
+        Z = 1
+        for x2, y2 in entries:
+            zz = Z * Z % P
+            H = (x2 * zz - X) % P
+            R = (y2 * zz * Z - Y) % P
+            HH = H * H % P
+            HHH = H * HH % P
+            V = X * HH % P
+            X3 = (R * R - HHH - 2 * V) % P
+            Y = (R * (V - X3) - Y * HHH) % P
+            X = X3
+            Z = Z * H % P
+        return (X, Y, Z)
 
 
 #: Tables kept by :func:`mul_fixed`, least recently used first; that one
@@ -537,8 +611,9 @@ def fixed_base_cache_info() -> Tuple[int, int]:
 def fixed_base_cache_stats() -> dict:
     """Cache effectiveness counters for this process.
 
-    ``hits``/``misses`` count :func:`mul_fixed` lookups since process
-    start (or :func:`reset_fixed_base_cache_stats`).  The
+    ``hits``/``misses`` count table lookups since process start (or
+    :func:`reset_fixed_base_cache_stats`): one per :func:`mul_fixed`
+    call, and one per table for a whole ElGamal vector.  The
     ``fixed_base_cache_*`` metric families, which ``node_status`` reads,
     sample the same counters.
     """
@@ -557,11 +632,14 @@ def reset_fixed_base_cache_stats() -> None:
     _FIXED_BASE_CACHE_MISSES = 0
 
 
-def mul_fixed(base: Affine, scalar: int) -> Affine:
-    """Scalar multiplication with per-base precomputation (LRU-cached)."""
+def _fixed_base_table(base: Affine) -> FixedBaseTable:
+    """The cached table of ``base`` (built on a miss): one cache lookup.
+
+    Infinity gets an empty table, neither cached nor counted.
+    """
     global _FIXED_BASE_CACHE_HITS, _FIXED_BASE_CACHE_MISSES
     if base is None:
-        return None
+        return FixedBaseTable(None)
     table = _FIXED_BASE_CACHE.pop(base, None)
     if table is None:
         _FIXED_BASE_CACHE_MISSES += 1
@@ -572,14 +650,17 @@ def mul_fixed(base: Affine, scalar: int) -> Affine:
         _FIXED_BASE_CACHE_HITS += 1
     # Re-inserting moves the base to the end: the dict's order is recency.
     _FIXED_BASE_CACHE[base] = table
-    return table.multiply(scalar)
+    return table
+
+
+def mul_fixed(base: Affine, scalar: int) -> Affine:
+    """Scalar multiplication with per-base precomputation (LRU-cached)."""
+    return _fixed_base_table(base).multiply(scalar)
 
 
 def precompute_base(base: "G1Point | Affine") -> None:
     """Warm the fixed-base table for ``base`` ahead of the hot path."""
-    affine = base.affine if isinstance(base, G1Point) else base
-    if affine is not None:
-        mul_fixed(affine, 1)
+    _fixed_base_table(base.affine if isinstance(base, G1Point) else base)
 
 
 # ---------------------------------------------------------------------------

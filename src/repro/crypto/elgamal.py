@@ -9,20 +9,27 @@ range to find ``m``.  Short plaintexts are exactly what makes verifiable
 decryption cheap: the Schnorr-style proof in :mod:`repro.crypto.vpke`
 attests the relation on ``g^m`` directly.
 
-Decoding uses a baby-step/giant-step table when the range is large enough
-to warrant it, and a plain scan otherwise.  If the plaintext is outside
-the declared range, :meth:`ElGamalSecretKey.decrypt` returns the raw group
-element ``g^m`` — precisely the behaviour the paper's ``outrange``
-dispute path needs.
+An answer vector is one unit of work, and a single message is the
+one-element vector.  :meth:`ElGamalPublicKey.encrypt_vector` looks up the
+generator's and the key's fixed-base tables once, forms every ``g^r`` and
+``g^m h^r`` in Jacobian form and normalizes the whole vector with one
+inversion.  :meth:`ElGamalSecretKey.decrypt_vector` forms each
+``c2 / c1^k`` from one variable-base multiplication, leaves it Jacobian,
+and matches it against candidates ``g^m`` by cross-multiplying, each
+candidate computed at most once per call.  If the plaintext is outside
+the declared range, decryption returns the raw group element ``g^m`` —
+precisely the behaviour the paper's ``outrange`` dispute path needs.
+Aggregates beyond the answer range decode by baby-step/giant-step
+(:meth:`ElGamalSecretKey.decrypt_bsgs`).
 """
 
 from __future__ import annotations
 
 import functools
-import secrets
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.crypto import curve
 from repro.crypto.curve import CURVE_ORDER, G1Point, random_scalar
 from repro.errors import DecryptionError, InvalidScalar
 
@@ -67,17 +74,37 @@ class ElGamalPublicKey:
 
     def encrypt(self, message: int, randomness: Optional[int] = None) -> Ciphertext:
         """Encrypt a (small) integer message."""
-        if not isinstance(message, int) or message < 0:
-            raise InvalidScalar("ElGamal messages must be non-negative ints")
-        r = randomness if randomness is not None else random_scalar()
-        return Ciphertext(
-            self._g.mul_fixed(r),
-            self._g.mul_fixed(message) + self.h.mul_fixed(r),
-        )
+        return self._encrypt([message], [randomness])[0]
 
     def encrypt_vector(self, messages: Sequence[int]) -> List[Ciphertext]:
         """Encrypt a sequence of messages with independent randomness."""
-        return [self.encrypt(m) for m in messages]
+        return self._encrypt(messages, [None] * len(messages))
+
+    def _encrypt(
+        self, messages: Sequence[int], randomness: Sequence[Optional[int]]
+    ) -> List[Ciphertext]:
+        """The vector kernel: ``(g^r, g^m h^r)`` per message, drawing each
+        missing ``r`` in message order, one inversion for the lot."""
+        scalars = []
+        for message, r in zip(messages, randomness):
+            if not isinstance(message, int) or message < 0:
+                raise InvalidScalar("ElGamal messages must be non-negative ints")
+            scalars.append(r if r is not None else random_scalar())
+        g_table = curve._fixed_base_table(self._g.affine)
+        h_table = curve._fixed_base_table(self.h.affine)
+        points = []
+        for message, r in zip(messages, scalars):
+            points.append(g_table.multiply_jacobian(r))
+            points.append(
+                curve._jacobian_add(
+                    g_table.multiply_jacobian(message), h_table.multiply_jacobian(r)
+                )
+            )
+        affine = curve._batch_to_affine(points)
+        return [
+            Ciphertext(G1Point(affine[index]), G1Point(affine[index + 1]))
+            for index in range(0, len(affine), 2)
+        ]
 
     def rerandomize(
         self, ciphertext: Ciphertext, randomness: Optional[int] = None
@@ -134,11 +161,7 @@ class ElGamalSecretKey:
         bare group element ``g^m`` otherwise (the paper's out-of-range
         dispute evidence).
         """
-        masked = self.shared_point(ciphertext)
-        for candidate in message_range:
-            if self._g.mul_fixed(candidate) == masked:
-                return candidate
-        return masked
+        return self._decrypt([ciphertext], message_range)[0]
 
     def decrypt_bsgs(self, ciphertext: Ciphertext, max_message: int) -> int:
         """Decrypt via baby-step/giant-step over ``[0, max_message]``.
@@ -175,8 +198,40 @@ class ElGamalSecretKey:
         self, ciphertexts: Sequence[Ciphertext], message_range: Iterable[int]
     ) -> List[DecryptResult]:
         """Decrypt a vector of ciphertexts against a common range."""
-        range_list = list(message_range)
-        return [self.decrypt(c, range_list) for c in ciphertexts]
+        return self._decrypt(ciphertexts, message_range)
+
+    def _decrypt(
+        self, ciphertexts: Sequence[Ciphertext], message_range: Iterable[int]
+    ) -> List[DecryptResult]:
+        """The vector kernel: each ``c2 / c1^k`` stays Jacobian and is
+        normalized only when no candidate matches it."""
+        tried: List[Tuple[int, curve.Affine]] = []
+        pending = iter(message_range)
+        results: List[DecryptResult] = []
+        for ciphertext in ciphertexts:
+            masked = curve._jacobian_add(
+                curve._to_jacobian(ciphertext.c2.affine),
+                curve._to_jacobian(
+                    curve.ec_neg(curve.ec_mul(ciphertext.c1.affine, self.k))
+                ),
+            )
+            for message, point in self._candidates(tried, pending):
+                if curve._jacobian_matches(masked, point):
+                    results.append(message)
+                    break
+            else:
+                results.append(G1Point(curve._from_jacobian(masked)))
+        return results
+
+    def _candidates(
+        self, tried: List[Tuple[int, curve.Affine]], pending: Iterator[int]
+    ) -> Iterator[Tuple[int, curve.Affine]]:
+        """``(m, g^m)`` in range order: those already computed, then new
+        ones drawn from ``pending`` and kept in ``tried``."""
+        yield from tried
+        for message in pending:
+            tried.append((message, curve.mul_fixed(self._g.affine, message)))
+            yield tried[-1]
 
 
 def keygen(secret: Optional[int] = None) -> Tuple[ElGamalPublicKey, ElGamalSecretKey]:
@@ -185,10 +240,3 @@ def keygen(secret: Optional[int] = None) -> Tuple[ElGamalPublicKey, ElGamalSecre
     sk = ElGamalSecretKey(k)
     return sk.public_key, sk
 
-
-def random_ciphertext() -> Ciphertext:
-    """A ciphertext of a random message under a random key (for tests)."""
-    from repro.crypto.rng import entropy
-
-    pk, _ = keygen()
-    return pk.encrypt(entropy.randbelow(2**16))

@@ -30,7 +30,7 @@ from typing import Sequence, Tuple
 
 from repro.crypto.curve import CURVE_ORDER, G1Point, random_scalar
 from repro.crypto.elgamal import Ciphertext, ElGamalPublicKey, ElGamalSecretKey
-from repro.crypto.vpke import Claim, _claim_point, fold_dh_checks
+from repro.crypto.vpke import Claim, _claim_power, fold_dh_checks
 from repro.errors import ProofError
 
 _G = G1Point.generator()
@@ -83,9 +83,8 @@ def verify_transcript(
     transcript: SigmaTranscript,
 ) -> bool:
     """The verifier's final check (same two equations as VPKE)."""
-    claim_point = _claim_point(claim)
     challenge = transcript.challenge
-    lhs_dec = claim_point * challenge + ciphertext.c1 * transcript.response
+    lhs_dec = _claim_power(claim, challenge) + ciphertext.c1 * transcript.response
     rhs_dec = transcript.commitment_a + ciphertext.c2 * challenge
     if lhs_dec != rhs_dec:
         return False
@@ -167,9 +166,8 @@ def simulate_transcript(
     if challenge is None:
         challenge = fresh_challenge()
     response = random_scalar()
-    claim_point = _claim_point(claim)
     commitment_a = (
-        claim_point * challenge
+        _claim_power(claim, challenge)
         + ciphertext.c1 * response
         - ciphertext.c2 * challenge
     )

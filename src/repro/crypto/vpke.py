@@ -79,6 +79,14 @@ def _claim_point(claim: Claim) -> G1Point:
     return claim
 
 
+def _claim_power(claim: Claim, exponent: int) -> G1Point:
+    """``g^{m * exponent}`` in one fixed-base multiplication by
+    ``m * exponent mod r``, or ``M^exponent`` for a group element."""
+    if isinstance(claim, int):
+        return _G.mul_fixed(claim * exponent % CURVE_ORDER)
+    return claim * exponent
+
+
 def _transcript(
     claim: Claim,
     ciphertext: Ciphertext,
@@ -135,10 +143,8 @@ def verify_decryption(
         ),
         CURVE_ORDER,
     )
-    claim_point = _claim_point(claim)
-
     # g^{m C'} · c1^Z == A · c2^{C'}   (correct decryption)
-    lhs_dec = claim_point * challenge + ciphertext.c1 * proof.response
+    lhs_dec = _claim_power(claim, challenge) + ciphertext.c1 * proof.response
     rhs_dec = proof.commitment_a + ciphertext.c2 * challenge
     if lhs_dec != rhs_dec:
         return False
@@ -168,10 +174,9 @@ def simulate_proof(
     ro = oracle if oracle is not None else default_oracle()
     challenge = entropy.randbelow(CURVE_ORDER)
     response = random_scalar()
-    claim_point = _claim_point(claim)
 
     commitment_a = (
-        claim_point * challenge
+        _claim_power(claim, challenge)
         + ciphertext.c1 * response
         - ciphertext.c2 * challenge
     )
@@ -204,8 +209,10 @@ def verify_decryption_batch(
     multiplication (:func:`repro.crypto.curve.msm`): the ``G`` and ``h``
     terms collapse to one point each, and the remaining ``5n`` terms go
     through the Pippenger bucket method instead of ``6n`` independent
-    double-and-add multiplications.  Soundness error is ``2^-128`` per
-    run by the standard small-exponent argument.
+    double-and-add multiplications.  An integer claim's ``M_i = g^m``
+    joins the ``G`` term as ``u_i·C_i·m``, so it adds no term of its
+    own.  Soundness error is ``2^-128`` per run by the standard
+    small-exponent argument.
     """
     ro = oracle if oracle is not None else default_oracle()
     checks = []
@@ -248,18 +255,16 @@ def fold_dh_checks(
     for claim, ciphertext, commitment_a, commitment_b, challenge, response in checks:
         dec_weight = entropy.getrandbits(128) | 1
         key_weight = entropy.getrandbits(128) | 1
+        if isinstance(claim, int):
+            generator_scalar += dec_weight * challenge * claim
+        else:
+            points.append(claim)
+            scalars.append(dec_weight * challenge)
         points.extend(
-            (
-                _claim_point(claim),
-                ciphertext.c1,
-                ciphertext.c2,
-                commitment_a,
-                commitment_b,
-            )
+            (ciphertext.c1, ciphertext.c2, commitment_a, commitment_b)
         )
         scalars.extend(
             (
-                dec_weight * challenge,
                 dec_weight * response,
                 -dec_weight * challenge,
                 -dec_weight,

@@ -46,14 +46,6 @@ class ProofError(CryptoError):
     """A proof could not be generated for the claimed statement."""
 
 
-class VerificationError(CryptoError):
-    """A proof failed verification (raised only by strict APIs)."""
-
-
-class CommitmentError(CryptoError):
-    """A commitment could not be opened with the provided key."""
-
-
 # ---------------------------------------------------------------------------
 # Ledger layer
 # ---------------------------------------------------------------------------
@@ -94,10 +86,6 @@ class InvalidTransaction(ChainError):
 
 class ContractError(ChainError):
     """A contract call reverted."""
-
-
-class PhaseError(ContractError):
-    """A contract message arrived in the wrong protocol phase."""
 
 
 # ---------------------------------------------------------------------------

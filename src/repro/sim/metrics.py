@@ -191,10 +191,6 @@ class MetricsCollector:
     # ------------------------------------------------------------------
 
     @property
-    def blocks_observed(self) -> int:
-        return len(self.samples)
-
-    @property
     def total_transactions(self) -> int:
         """Every transaction the run sealed — the engine-mined blocks
         *and* the deployment blocks ``deploy_many`` sealed between

@@ -336,10 +336,6 @@ class WorkerPopulation:
     # Observation
     # ------------------------------------------------------------------
 
-    @property
-    def idle_count(self) -> int:
-        return sum(1 for agent in self.agents if agent.idle)
-
     def earnings(self) -> Dict[str, int]:
         """Each agent's ledger balance (coins earned across all tasks).
 

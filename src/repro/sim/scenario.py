@@ -53,19 +53,6 @@ class Scenario:
     #: Hard stop for the runner loop (quiescence normally ends it).
     max_blocks: int = 4096
 
-    def expected_tasks(self) -> int:
-        """How many tasks the arrival spec will issue in total."""
-        tag = self.arrivals[0]
-        if tag == "poisson":
-            return int(self.arrivals[2])
-        if tag == "burst":
-            return int(self.arrivals[1]) * int(self.arrivals[3])
-        if tag == "diurnal":
-            return int(self.arrivals[4])
-        if tag == "closed-loop":
-            return int(self.arrivals[3])
-        raise ProtocolError("unknown arrival regime: %r" % (tag,))
-
 
 def make_task_factory(scenario: Scenario) -> TaskFactory:
     return scenario.task.build

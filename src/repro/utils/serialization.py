@@ -9,7 +9,7 @@ point at infinity is encoded as 64 zero bytes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 WORD_SIZE = 32
 
@@ -58,13 +58,6 @@ def decode_ciphertext(data: bytes) -> Tuple[AffinePoint, AffinePoint]:
     if len(data) != 4 * WORD_SIZE:
         raise ValueError("ciphertext encoding must be 128 bytes")
     return (decode_point(data[: 2 * WORD_SIZE]), decode_point(data[2 * WORD_SIZE :]))
-
-
-def encode_ciphertext_vector(
-    ciphertexts: Sequence[Tuple[AffinePoint, AffinePoint]]
-) -> bytes:
-    """Concatenate the encodings of a vector of ciphertexts."""
-    return b"".join(encode_ciphertext(c) for c in ciphertexts)
 
 
 def hex_digest(data: bytes) -> str:

@@ -230,8 +230,9 @@ R = CURVE_ORDER
 EDGE_SCALARS = [
     0, 1, 2, -1, R - 1, R, R + 5, 2 * R - 1, 2**256 - 1,
     curve._LAMBDA, R - curve._LAMBDA,
-    # The fixed-base recoding of this one ends by adding a multiple equal
-    # to the accumulator: the mixed addition's H = 0 (doubling) case.
+    # A table of 64 full-scalar windows ended this one's recoding by
+    # adding a multiple equal to the accumulator (its H = 0 case); the
+    # GLV-half table cannot meet that case (see the test below).
     3 * 2**253 - R,
 ]
 
@@ -285,6 +286,28 @@ def test_split_halves_recombine_and_stay_short():
         k1, k2 = curve._glv_split(scalar)
         assert (k1 + k2 * curve._LAMBDA - scalar) % R == 0
         assert abs(k1) < 2**126 and abs(k2) < 2**126
+
+
+def test_fixed_base_additions_never_meet_their_accumulator():
+    """The premises of ``FixedBaseTable``'s argument that its additions
+    need no ``H = 0`` branch: a GLV half's digits fit ``NUM_WINDOWS``
+    windows with a top digit of at most 4, so an entry and the
+    accumulator differ by less than 2^126.2 in each coordinate, while
+    every non-zero lattice vector has a coordinate of at least 2^126.79."""
+    a1, b1, a2, b2 = curve._GLV_A1, curve._GLV_B1, curve._GLV_A2, curve._GLV_B2
+    half_bound = max(abs(a1) + abs(a2), abs(b1) + abs(b2)) // 2 + 1
+    assert half_bound <= 2**curve._GLV_HALF_BITS == 2**126
+    top_weight = 16 ** (curve.FixedBaseTable.NUM_WINDOWS - 1)
+    top_digit = (half_bound - 1) // top_weight + 1  # with the carry from below
+    assert top_digit <= 4
+    below_top = 8 * (top_weight - 1) // 15  # the most the lower digits sum to
+    gap = max(top_digit * top_weight + below_top, half_bound)
+    assert gap < 2**126.2
+    # A lattice vector (x, y) = i (a1, b1) + j (a2, b2) with both
+    # coordinates below `shortest` has |i|, |j| < 1 by Cramer's rule.
+    assert abs(a1 * b2 - a2 * b1) == R
+    shortest = R // max(abs(a1) + abs(b1), abs(a2) + abs(b2))
+    assert gap < shortest
 
 
 def _cube_roots_of_unity(modulus):

@@ -5,9 +5,10 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import curve
-from repro.crypto.curve import G1Point
+from repro.crypto import curve, elgamal
+from repro.crypto.curve import CURVE_ORDER, G1Point, random_scalar
 from repro.crypto.elgamal import Ciphertext, ElGamalSecretKey, keygen
+from repro.crypto.rng import deterministic_entropy
 from repro.errors import DecryptionError, InvalidScalar
 
 
@@ -183,3 +184,109 @@ def test_key_pickled_without_a_cached_public_key_still_loads():
     assert "public_key" not in vars(sk)
     restored = pickle.loads(pickle.dumps(sk))
     assert restored.public_key.h == G1Point.generator() * 0xC0FFEE
+
+
+# ---------------------------------------------------------------------------
+# The vector kernels against the per-message formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_encrypt(pk, message, randomness):
+    """One message at a time, each product normalized on its own:
+    ``(g^r, g^m + h^r)`` from two fixed-base multiplications per base."""
+    g = G1Point.generator().affine
+    return Ciphertext(
+        G1Point(curve.mul_fixed(g, randomness)),
+        G1Point(
+            curve.ec_add(
+                curve.mul_fixed(g, message), curve.mul_fixed(pk.h.affine, randomness)
+            )
+        ),
+    )
+
+
+def _reference_decrypt(sk, ciphertext, message_range):
+    """``c2 - c1 * k`` normalized, then a scan of the range."""
+    masked = ciphertext.c2 - ciphertext.c1 * sk.k
+    for candidate in message_range:
+        if G1Point.generator().mul_fixed(candidate) == masked:
+            return candidate
+    return masked
+
+
+def test_encrypt_vector_draws_and_encrypts_as_one_message_at_a_time(keypair):
+    pk, _ = keypair
+    messages = [0, 1, 3, 0, 2, 1, 1, 0, 3, 2]
+    with deterministic_entropy(0x5EED):
+        ciphertexts = pk.encrypt_vector(messages)
+    with deterministic_entropy(0x5EED):
+        expected = [_reference_encrypt(pk, m, random_scalar()) for m in messages]
+    assert ciphertexts == expected
+
+
+def test_encrypt_vector_normalizes_around_points_at_infinity(keypair, monkeypatch):
+    """``c1`` at infinity (``r = 0``), ``c2`` at infinity
+    (``r = -m / k``), both at once, and ``m = 0``, in one vector."""
+    pk, sk = keypair
+    messages = [2, 3, 0, 0, 1]
+    scalars = [0, -3 * pow(sk.k, -1, CURVE_ORDER) % CURVE_ORDER, 0, 0x1234, 0x77]
+    drawn = iter(scalars)
+    monkeypatch.setattr(elgamal, "random_scalar", lambda: next(drawn))
+    ciphertexts = pk.encrypt_vector(messages)
+    expected = [_reference_encrypt(pk, m, r) for m, r in zip(messages, scalars)]
+    assert ciphertexts == expected
+    assert ciphertexts[0].c1.is_infinity and ciphertexts[1].c2.is_infinity
+    assert ciphertexts[2].c1.is_infinity and ciphertexts[2].c2.is_infinity
+    for message, r, ciphertext in zip(messages, scalars, expected):
+        assert pk.encrypt(message, randomness=r) == ciphertext
+
+
+def test_decrypt_vector_matches_the_per_message_scan(keypair):
+    """In range, ``m = 0``, masked points at infinity, and out of range,
+    including ``-1`` whose negation ``g^1`` is a candidate: the bare
+    ``G1Point`` comes back."""
+    pk, sk = keypair
+    messages = [0, 1, 2, 99, 0, CURVE_ORDER - 1, 2, 1]
+    randomness = [5, 6, 0, 7, 0, 8, -2 * pow(sk.k, -1, CURVE_ORDER), 9]
+    ciphertexts = [pk.encrypt(m, randomness=r) for m, r in zip(messages, randomness)]
+    expected = [_reference_decrypt(sk, c, range(3)) for c in ciphertexts]
+    assert expected == [
+        0, 1, 2, G1Point.generator() * 99, 0, -G1Point.generator(), 2, 1,
+    ]
+    assert sk.decrypt_vector(ciphertexts, range(3)) == expected
+    assert sk.decrypt_vector(ciphertexts, iter(range(3))) == expected
+    assert [sk.decrypt(c, range(3)) for c in ciphertexts] == expected
+
+
+class _Inversions:
+    """Counts field inversions in the curve arithmetic (``curve.inv_mod``)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.count = 0
+        inv_mod = curve.inv_mod
+
+        def counted_inv_mod(value, modulus):
+            self.count += 1
+            return inv_mod(value, modulus)
+
+        monkeypatch.setattr(curve, "inv_mod", counted_inv_mod)
+
+
+def test_encrypt_vector_costs_one_inversion(keypair, monkeypatch):
+    pk, _ = keypair
+    pk.encrypt_vector([1])  # the generator's and the key's tables are warm
+    inversions = _Inversions(monkeypatch)
+    ciphertexts = pk.encrypt_vector([1, 0, 1, 1, 0, 1, 0, 0, 1, 1])
+    assert inversions.count == 1
+    assert len(ciphertexts) == 10
+
+
+def test_decrypt_vector_computes_each_candidate_once(keypair, monkeypatch):
+    pk, sk = keypair
+    messages = [0, 3, 1, 3, 2, 9, 2, 1]
+    ciphertexts = pk.encrypt_vector(messages)
+    counted = _Multiplications(monkeypatch)
+    plaintexts = sk.decrypt_vector(ciphertexts, range(4))
+    assert plaintexts[:5] + plaintexts[6:] == [0, 3, 1, 3, 2, 2, 1]
+    assert plaintexts[5] == G1Point.generator() * 9
+    assert counted.fixed <= 4

@@ -764,8 +764,10 @@ def test_snapshot_corruption_is_refused(tmp_path):
     outcome = seeded_outcome()
     path = str(tmp_path / "snap.bin")
     save_snapshot(path, outcome.chain)
-    blob = bytearray(open(path, "rb").read())
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
     blob[-1] ^= 0xFF  # flip one byte of the embedded state encoding
-    open(path, "wb").write(bytes(blob))
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
     with pytest.raises(StoreError):
         load_snapshot(path)
